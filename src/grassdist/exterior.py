@@ -101,16 +101,6 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def grades(self) -> set[int]:
-        return {len(k) for k in self.terms}
-
-    def grade_part(self, p: int) -> "Multivector":
-        return Multivector(self.ambient_dim, self.field,
-                           {k: c for k, c in self.terms.items() if len(k) == p})
-
-    def coeff(self, indices: Iterable[int]):
-        return self.terms.get(tuple(indices), 0.0 if self.field is Field.REAL else 0j)
-
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
 

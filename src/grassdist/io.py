@@ -46,11 +46,17 @@ class SubspaceFile:
         raise KeyError(name)
 
 
+# JSON numbers decode to exactly these types; ``bool`` subclasses ``int``
+# but ``true``/``false`` are not numbers, so types are compared exactly.
+_NUMBER_TYPES = (int, float)
+
+
 def _parse_scalar(entry, field: Field):
-    if isinstance(entry, (int, float)):
+    if type(entry) in _NUMBER_TYPES:
         return float(entry)
-    if (field is Field.COMPLEX and isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)):
+    if (field is Field.COMPLEX and type(entry) is list and len(entry) == 2
+            and type(entry[0]) in _NUMBER_TYPES
+            and type(entry[1]) in _NUMBER_TYPES):
         return complex(entry[0], entry[1])
     raise SubspaceFileError(f"bad scalar entry {entry!r} for field {field.value}")
 
@@ -64,10 +70,12 @@ def parse_subspace_file(text: str, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile
         raise SubspaceFileError("top level must be an object")
     try:
         field = Field(doc["field"])
-        n = int(doc["ambient_dim"])
+        n = doc["ambient_dim"]
         entries = doc["subspaces"]
     except (KeyError, ValueError, TypeError) as exc:
         raise SubspaceFileError(f"missing or malformed header field: {exc}") from exc
+    if type(n) is not int:
+        raise SubspaceFileError(f"ambient_dim must be an integer, got {n!r}")
     if n < 1:
         raise SubspaceFileError("ambient_dim must be positive")
     if not isinstance(entries, list) or not entries:

@@ -37,16 +37,13 @@ class Tolerance:
         Relative singular-value cutoff for rank decisions.
     angle_tol : float
         Absolute cutoff in radians for angle comparisons.
-    match_tol : float
-        Absolute cutoff for golden-value comparisons.
     """
 
     rank_tol: float = 1e-10
     angle_tol: float = 1e-9
-    match_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if min(self.rank_tol, self.angle_tol, self.match_tol) < 0:
+        if min(self.rank_tol, self.angle_tol) < 0:
             raise ValueError("tolerances must be nonnegative")
 
 
@@ -119,14 +116,23 @@ def singular_values(m) -> np.ndarray:
         raise NumericalDegeneracyError(f"SVD did not converge: {exc}") from exc
 
 
-def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    """Orthonormal basis of the column span of ``columns``.
+def _rank(s: np.ndarray, rank_tol: float) -> int:
+    """Count of the nonincreasing singular values ``s`` at or above
+    ``rank_tol * s[0]``; 0 when ``s[0] == 0``.  The cutoff is relative, so
+    the rank does not change when the matrix is scaled."""
+    if s[0] == 0:
+        return 0
+    return int(np.count_nonzero(s >= rank_tol * s[0]))
 
-    Modified Gram-Schmidt with a fixed pivot order (input column order) and
-    repeated re-orthogonalization; the number of returned columns is the
-    numerical rank, judged against ``rank_tol * sigma_max`` (an absolute
-    cutoff of ``rank_tol`` when all columns vanish).  Rank-deficient input
-    is legal: the span is preserved and the basis shrinks.
+
+def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
+    """Orthonormal basis of the column span of ``columns``, from one SVD.
+
+    The number of returned columns is the numerical rank (the rule of
+    :func:`numerical_rank`).  At full column rank the result is the polar
+    factor ``U @ V^H``, the orthonormal basis closest to the input;
+    otherwise it is the leading left singular vectors.  Rank-deficient
+    input is legal: the span is preserved and the basis shrinks.
     """
     a = np.asarray(columns)
     if a.ndim != 2:
@@ -136,20 +142,11 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
         return a[:, :0].copy()
     if not np.all(np.isfinite(a)):
         raise DimensionError("matrix entries must be finite")
-    smax = float(singular_values(a)[0])
-    cutoff = rank_tol * smax if smax > 0 else rank_tol
-    kept: list[np.ndarray] = []
-    for j in range(k):
-        r = a[:, j].copy()
-        for _ in range(2):  # twice is enough to restore orthogonality
-            for u in kept:
-                r = r - u * np.vdot(u, r)
-        nrm = float(np.linalg.norm(r))
-        if nrm > cutoff:
-            kept.append(r / nrm)
-    if not kept:
-        return a[:, :0].copy()
-    return np.column_stack(kept)
+    u, s, v = svd(a)
+    r = _rank(s, rank_tol)
+    if r == k:
+        return u @ v.conj().T
+    return u[:, :r]
 
 
 def clamp_cosine(x: float, slack: float = CLAMP_SLACK) -> float:
@@ -169,11 +166,10 @@ def clamp_cosine(x: float, slack: float = CLAMP_SLACK) -> float:
 
 
 def numerical_rank(m, rank_tol: float = DEFAULT_TOL.rank_tol) -> int:
-    """Rank of ``m`` with the same relative cutoff as ``orthonormalize``."""
+    """Numerical rank of ``m``: the number of singular values at or above
+    ``rank_tol * sigma_max`` (0 for an empty or zero matrix).
+    ``orthonormalize`` keeps exactly this many columns."""
     a = np.asarray(m)
     if a.size == 0:
         return 0
-    s = singular_values(a)
-    if s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s >= rank_tol * s[0]))
+    return _rank(singular_values(a), rank_tol)

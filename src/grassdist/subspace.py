@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalDegeneracyError
+from .errors import DimensionError
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        gram, numerical_rank, orthonormalize)
 
@@ -67,7 +67,8 @@ class Subspace:
         n, k = cols.shape
         if k == 0:
             return cls.zero(n, field)
-        dev = np.max(np.abs(gram(cols) - np.eye(k))) if k else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: not orthonormal
+            dev = np.max(np.abs(gram(cols) - np.eye(k)))
         if dev <= _ORTHO_TOL:
             return cls(n, field, cols)
         basis = orthonormalize(cols, tol.rank_tol)
@@ -214,25 +215,12 @@ def project_onto(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subs
 
 def complete_basis(columns: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis of the ambient
-    space, greedily orthonormalizing canonical basis vectors in index order
+    space: ``columns`` followed by the trailing columns of their complete
+    QR factorization, which span the orthogonal complement
     (deterministic completion)."""
     cols = np.asarray(columns)
-    n = cols.shape[0]
-    kept = [cols[:, j] for j in range(cols.shape[1])]
-    for i in range(n):
-        if len(kept) == n:
-            break
-        r = np.zeros(n, dtype=cols.dtype)
-        r[i] = 1.0
-        for _ in range(2):
-            for u in kept:
-                r = r - u * np.vdot(u, r)
-        nrm = float(np.linalg.norm(r))
-        if nrm > 1e-8:
-            kept.append(r / nrm)
-    if len(kept) != n:
-        raise NumericalDegeneracyError("canonical completion failed to reach full rank")
-    return np.column_stack(kept)
+    q, _ = np.linalg.qr(cols, mode="complete")
+    return np.concatenate([cols, q[:, cols.shape[1]:]], axis=1)
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:

@@ -118,7 +118,16 @@ class TestSubspaceFile:
         {"field": "real", "ambient_dim": 2,
          "subspaces": [{"id": "a", "vectors": [[1, 0]]},
                        {"id": "a", "vectors": [[0, 1]]}]},
-    ], ids=["no-subspaces", "no-ambient", "bad-field", "bad-length", "dup-id"])
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[True, 0]]}]},
+        {"field": "complex", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[[True, 0], [0, 0]]]}]},
+        {"field": "real", "ambient_dim": True,
+         "subspaces": [{"id": "a", "vectors": [[1]]}]},
+        {"field": "real", "ambient_dim": 2.7,
+         "subspaces": [{"id": "a", "vectors": [[1, 0]]}]},
+    ], ids=["no-subspaces", "no-ambient", "bad-field", "bad-length", "dup-id",
+            "bool-entry", "bool-in-pair", "bool-ambient", "fractional-ambient"])
     def test_malformed_rejected(self, doc):
         with pytest.raises(SubspaceFileError):
             parse_subspace_file(json.dumps(doc))

@@ -112,12 +112,20 @@ class TestOrthonormalize:
 
     def test_span_preserved_when_rank_deficient(self, rng, field):
         base = random_matrix(rng, 6, 2, field)
-        cols = np.concatenate([base, base @ random_matrix(rng, 2, 2, field)],
-                              axis=1)
-        out = orthonormalize(cols)
-        assert out.shape[1] == 2
-        resid = cols - out @ (out.conj().T @ cols)
-        assert np.linalg.norm(resid) < 1e-10
+        dependent = np.concatenate([base, base @ random_matrix(rng, 2, 2, field)],
+                                   axis=1)
+        # more columns than rows (k > n) led by a repeated column, and a zero
+        # column between two independent ones: a QR without pivoting keeps
+        # the wrong columns of its Q
+        wide = np.concatenate([base[:, :1], base[:, :1],
+                               base @ random_matrix(rng, 2, 6, field)], axis=1)
+        e = np.eye(6, dtype=field.dtype)
+        zero_between = np.column_stack([e[:, 0], np.zeros(6), e[:, 1]])
+        for cols in (dependent, wide, zero_between):
+            out = orthonormalize(cols)
+            assert out.shape[1] == 2
+            resid = cols - out @ (out.conj().T @ cols)
+            assert np.linalg.norm(resid) < 1e-10
 
     def test_deterministic(self, field):
         rng1 = np.random.default_rng(7)

@@ -39,6 +39,14 @@ class TestSubspaceConstruction:
         v = Subspace.from_columns(np.concatenate([base, base], axis=1), R)
         assert v.dim == 2 and v.was_reduced
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e300])
+    def test_rank_is_scale_free(self, rng, scale):
+        cols = random_matrix(rng, 6, 3, R)
+        v = Subspace.from_columns(cols, R)
+        scaled = Subspace.from_columns(cols * scale, R)
+        assert scaled.dim == 3 and not scaled.was_reduced
+        np.testing.assert_allclose(principal_angles(scaled, v), 0, atol=1e-12)
+
     def test_zero_and_full(self):
         assert Subspace.zero(4, R).dim == 0
         assert Subspace.full(4, C).dim == 4
@@ -278,10 +286,11 @@ class TestRandomSubspace:
 
 
 def test_complete_basis_is_orthonormal(rng, field):
-    v = random_subspace(6, 2, field, 13)
-    full = complete_basis(v.basis)
-    np.testing.assert_allclose(gram(full), np.eye(6), atol=1e-12)
-    np.testing.assert_allclose(full[:, :2], v.basis)
+    for k in (2, 0, 6):  # 0 and n: nothing to keep, nothing to add
+        v = random_subspace(6, k, field, 13)
+        full = complete_basis(v.basis)
+        np.testing.assert_allclose(gram(full), np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(full[:, :k], v.basis)
 
 
 def test_intersection_count_matches_rank(rng, field):
