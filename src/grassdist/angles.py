@@ -27,7 +27,8 @@ from .errors import DegenerateBasisError, DimensionError, NumericalDegeneracyErr
 from .exterior import blade_from_basis, contraction, regressive, wedge
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine)
 from .subspace import (Subspace, _check_pair, complete_basis, intersection_dim,
-                       principal_decomposition, project_onto, underlying_real)
+                       principal_angles, principal_decomposition, project_onto,
+                       underlying_real)
 
 
 class AngleRoute(enum.Enum):
@@ -45,11 +46,25 @@ _CONDITION_BAND = 1e-6
 # Gram-determinant formulas on raw (possibly non-orthonormal) bases.
 # ---------------------------------------------------------------------------
 
+def _unit_columns(m: np.ndarray, side: str) -> np.ndarray:
+    """``m`` with every column scaled to unit 2-norm, each divided by its
+    largest absolute entry first so that the norm cannot overflow or
+    underflow.  Every Gram ratio below is invariant to column scaling."""
+    if not m.size:
+        return m
+    peak = np.max(np.abs(m), axis=0)
+    if np.any(peak == 0):
+        raise DegenerateBasisError(f"{side}-columns are not a basis (zero column)")
+    m = m / peak
+    return m / np.linalg.norm(m, axis=0)
+
+
 def _gram_blocks(v_columns, w_columns, field: Field):
     v = as_matrix(v_columns, field)
     w = as_matrix(w_columns, field)
     if v.shape[0] != w.shape[0]:
         raise DimensionError("ambient mismatch between basis matrices")
+    v, w = _unit_columns(v, "v"), _unit_columns(w, "w")
     a = v.conj().T @ v            # p x p
     b = w.conj().T @ w            # q x q
     c = w.conj().T @ v            # q x p
@@ -101,7 +116,8 @@ def sin2_psi_from_gram(v_columns, w_orthonormal_columns, field: Field) -> float:
     """sin^2 Psi via the determinant sum over (n - p)-subsets of the
     orthonormal w-basis:
     ``(1 / det A) * sum_i |det [v_1 .. v_p  w_{i_1} .. w_{i_{n-p}}]|^2``.
-    Returns 0 directly when p + q < n."""
+    Returns 0 directly when p + q < n.  Columns are scaled to unit norm
+    first, so the w-columns need only be mutually orthogonal."""
     v, w, a, b, _, det_a = _gram_blocks(v_columns, w_orthonormal_columns, field)
     n = v.shape[0]
     p, q = v.shape[1], w.shape[1]
@@ -131,6 +147,19 @@ def _exterior_norms(v: Subspace, w: Subspace):
     return a, b, a.norm() * b.norm()
 
 
+def _theta_principal(v: Subspace, w: Subspace, tol: Tolerance,
+                     theta: np.ndarray | None = None) -> float:
+    """Theta(V, W) from the principal angles ``theta`` of the pair, which
+    are computed here only if not given and only if they are read."""
+    if v.dim == 0:
+        return 0.0
+    if w.dim == 0 or v.dim > w.dim:
+        return math.pi / 2
+    if theta is None:
+        theta = principal_angles(v, w, tol)
+    return math.acos(clamp_cosine(float(np.prod(np.cos(theta)))))
+
+
 def asymmetric_angle(v: Subspace, w: Subspace,
                      route: AngleRoute = AngleRoute.PRINCIPAL,
                      tol: Tolerance = DEFAULT_TOL) -> float:
@@ -146,12 +175,7 @@ def asymmetric_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.EXTERIOR:
         a, b, denom = _exterior_norms(v, w)
         return math.acos(clamp_cosine(contraction(a, b).norm() / denom))
-    if v.dim == 0:
-        return 0.0
-    if w.dim == 0 or v.dim > w.dim:
-        return math.pi / 2
-    theta = principal_decomposition(v, w, tol).angles
-    return math.acos(clamp_cosine(float(np.prod(np.cos(theta)))))
+    return _theta_principal(v, w, tol)
 
 
 def projection_factor(v: Subspace, w: Subspace,
@@ -178,6 +202,15 @@ def real_complex_relation_check(v: Subspace, w: Subspace,
 # Disjointness angle Upsilon and supplementation angle Psi.
 # ---------------------------------------------------------------------------
 
+def _upsilon_principal(v: Subspace, w: Subspace, tol: Tolerance,
+                       theta: np.ndarray | None = None) -> float:
+    if v.dim == 0 or w.dim == 0:
+        return math.pi / 2
+    if theta is None:
+        theta = principal_angles(v, w, tol)
+    return math.asin(clamp_cosine(float(np.prod(np.sin(theta)))))
+
+
 def disjointness_angle(v: Subspace, w: Subspace,
                        route: AngleRoute = AngleRoute.PRINCIPAL,
                        tol: Tolerance = DEFAULT_TOL) -> float:
@@ -194,20 +227,19 @@ def disjointness_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.EXTERIOR:
         a, b, denom = _exterior_norms(v, w)
         return math.asin(clamp_cosine(wedge(a, b).norm() / denom))
-    if v.dim == 0 or w.dim == 0:
-        return math.pi / 2
-    theta = principal_decomposition(v, w, tol).angles
-    return math.asin(clamp_cosine(float(np.prod(np.sin(theta)))))
+    return _upsilon_principal(v, w, tol)
 
 
-def _psi_principal(v: Subspace, w: Subspace, tol: Tolerance) -> float:
+def _psi_principal(v: Subspace, w: Subspace, tol: Tolerance,
+                   theta: np.ndarray | None = None) -> float:
     n = v.ambient_dim
     if v.dim == n or w.dim == n:
         return math.pi / 2
     if v.dim == 0 or w.dim == 0:
         return 0.0  # V + W is a proper subspace
-    pd = principal_decomposition(v, w, tol)
-    r = pd.intersection_dim(tol)
+    if theta is None:
+        theta = principal_angles(v, w, tol)
+    r = int(np.count_nonzero(theta < tol.angle_tol))
     r_rank = intersection_dim(v, w, tol)
     if r != r_rank:
         raise NumericalDegeneracyError(
@@ -215,7 +247,7 @@ def _psi_principal(v: Subspace, w: Subspace, tol: Tolerance) -> float:
             f"vs stacked-basis rank count {r_rank}")
     if v.dim + w.dim - r < n:
         return 0.0
-    sines = np.sin(pd.angles[r:])
+    sines = np.sin(theta[r:])
     return math.asin(clamp_cosine(float(np.prod(sines))))
 
 
@@ -358,18 +390,27 @@ def angle_report(v: Subspace, w: Subspace,
                  route: AngleRoute = AngleRoute.PRINCIPAL,
                  tol: Tolerance = DEFAULT_TOL) -> AngleReport:
     """Compute Theta (both directions), Upsilon, Psi and the principal
-    angles of a pair."""
+    angles of a pair.
+
+    On the principal route the angles are computed once and every value is
+    derived from them exactly as the standalone functions derive it, so
+    the report equals those functions bit for bit.
+    """
     _check_pair(v, w)
-    if v.dim and w.dim:
-        theta = principal_decomposition(v, w, tol).angles
-    else:
-        theta = np.zeros(0)
+    theta = principal_angles(v, w, tol)
     fragile = bool(np.any((theta >= tol.angle_tol) & (theta < _CONDITION_BAND)))
+    if route is AngleRoute.PRINCIPAL:
+        values = (_theta_principal(v, w, tol, theta),
+                  _theta_principal(w, v, tol, theta),
+                  _upsilon_principal(v, w, tol, theta),
+                  _psi_principal(v, w, tol, theta))
+    else:
+        values = (asymmetric_angle(v, w, route, tol),
+                  asymmetric_angle(w, v, route, tol),
+                  disjointness_angle(v, w, route, tol),
+                  supplementation_angle(v, w, route, tol))
     return AngleReport(
-        theta_vw=asymmetric_angle(v, w, route, tol),
-        theta_wv=asymmetric_angle(w, v, route, tol),
-        upsilon=disjointness_angle(v, w, route, tol),
-        psi=supplementation_angle(v, w, route, tol),
+        *values,
         principal_angles=tuple(float(t) for t in theta),
         dims=(v.dim, w.dim, v.ambient_dim),
         psi_ill_conditioned=fragile,

@@ -129,7 +129,8 @@ def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace, w: Subspace,
     if isinstance(desc, str):
         desc = METRICS[desc]
     _check_pair(v, w)
-    theta = principal_angles(v, w, tol)
+    # outside 0 < p <= q the extension is 0 or the diameter: no angles read
+    theta = principal_angles(v, w, tol) if 0 < v.dim <= w.dim else np.zeros(0)
     return extension_from_angles(desc, theta, v.dim, w.dim)
 
 

@@ -149,20 +149,27 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
     return u[:, :r]
 
 
-def clamp_cosine(x: float, slack: float = CLAMP_SLACK) -> float:
-    """Clamp a computed cosine/sine into [0, 1].
+def clamp_cosine(x, slack: float = CLAMP_SLACK):
+    """Clamp computed cosines/sines into [0, 1], elementwise.
 
-    Values exceeding 1 by more than ``slack`` raise, since that indicates a
-    broken invariant rather than roundoff.  Values within a few ulp of 1
-    snap to exactly 1, so structurally-right-angle configurations stay
-    exact through arccos/arcsin.
+    A scalar gives a Python float, an array gives a float array of the same
+    shape.  A value exceeding 1 by more than ``slack`` raises, since that
+    indicates a broken invariant rather than roundoff.  Values within a few
+    ulp of 1 snap to exactly 1 and negative values floor at 0, so exact
+    zero and right angles stay exact through arccos/arcsin.
     """
-    x = float(np.real(x))
-    if x > 1.0 + slack:
-        raise NumericalDegeneracyError(f"cosine/sine exceeds 1 beyond roundoff: {x!r}")
-    if x > 1.0 - _UNIT_SNAP:
-        return 1.0
-    return max(x, 0.0)
+    if np.ndim(x) == 0:
+        x = float(np.real(x))
+        if x > 1.0 + slack:
+            raise NumericalDegeneracyError(f"cosine/sine exceeds 1 beyond roundoff: {x!r}")
+        if x > 1.0 - _UNIT_SNAP:
+            return 1.0
+        return max(x, 0.0)
+    a = np.real(np.asarray(x)).astype(np.float64)
+    if np.any(a > 1.0 + slack):
+        raise NumericalDegeneracyError(
+            f"cosine/sine exceeds 1 beyond roundoff: {float(np.max(a))!r}")
+    return np.where(a > 1.0 - _UNIT_SNAP, 1.0, np.maximum(a, 0.0))
 
 
 def numerical_rank(m, rank_tol: float = DEFAULT_TOL.rank_tol) -> int:

@@ -1,26 +1,36 @@
-"""Subspaces of F^n and principal decompositions.
+"""Subspaces of F^n and their principal angles.
 
 A :class:`Subspace` holds an orthonormal column basis plus the ambient
-dimension; the zero subspace has a basis with zero columns.  Principal
-angles are computed from the SVD of the cross-Gram matrix of orthonormal
-bases, with a sine-based refinement for small angles so that counting
-angles below ``angle_tol`` really does recover ``dim(V & W)`` (the plain
-``arccos`` of a singular value cannot resolve angles below ~1e-8).
+dimension; the zero subspace has a basis with zero columns.
+
+Every angle the package reports is a function of the principal angles
+alone, and :func:`principal_angles` computes them without principal
+vectors, from two singular-value-only SVDs (Knyazev & Argentati, SIAM J.
+Sci. Comput. 23(6), 2002): the cosines are the singular values of
+``E^H F`` and, where some angle is below pi/4, the sines are those of the
+residual ``F - E E^H F``.  The sine route resolves angles far below the
+~1e-8 floor of ``arccos``, so counting angles below ``angle_tol`` really
+does recover ``dim(V & W)``.  :func:`principal_decomposition` also forms
+the principal bases, for the few callers that need vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DimensionError
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
-                       gram, numerical_rank, orthonormalize)
+                       gram, numerical_rank, orthonormalize, singular_values)
 
 # Orthonormality slack accepted on construction; inputs further from
 # orthonormal than this are re-orthonormalized.
 _ORTHO_TOL = 1e-10
+
+# Cosines above this (angles below pi/4) switch to the sine route.
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +149,13 @@ def principal_decomposition(v: Subspace, w: Subspace,
     u, s, vh = np.linalg.svd(e.conj().T @ f, full_matrices=True)
     left = e @ u
     right = f @ vh.conj().T
-    sigma = np.array([clamp_cosine(x) for x in s[:m]])
+    sigma = clamp_cosine(s[:m])
     theta = np.arccos(sigma)
-    small = sigma > np.sqrt(0.5)  # angles below pi/4: switch to sine route
+    small = sigma > _SQRT_HALF  # angles below pi/4: switch to sine route
     if np.any(small):
         cols = right[:, :m][:, small]
         resid = cols - e @ (e.conj().T @ cols)
-        sines = np.linalg.norm(resid, axis=0)
-        theta[small] = np.arcsin([clamp_cosine(x) for x in sines])
+        theta[small] = np.arcsin(clamp_cosine(np.linalg.norm(resid, axis=0)))
     order = np.argsort(theta, kind="stable")
     if not np.array_equal(order, np.arange(m)):
         theta = theta[order]
@@ -155,13 +164,40 @@ def principal_decomposition(v: Subspace, w: Subspace,
     return PrincipalDecomposition(theta, left, right)
 
 
+def _larger_first(v: Subspace, w: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The two bases, the larger subspace's first.  Equal dimensions are
+    ordered by the bytes of the bases, so (V, W) and (W, V) feed the same
+    matrices to the SVDs and get bit-identical angles."""
+    e, f = v.basis, w.basis
+    if v.dim < w.dim or (v.dim == w.dim and e.tobytes() > f.tobytes()):
+        return f, e
+    return e, f
+
+
 def principal_angles(v: Subspace, w: Subspace,
                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Principal angles only; empty array when either subspace is {0}."""
+    """The min(dim V, dim W) principal angles, ascending; empty when either
+    subspace is {0}.  Symmetric in its arguments, bit for bit.
+
+    Value-only: with E the basis of the larger subspace and F the other,
+    the cosines are the singular values of ``C = E^H F``.  Only if some
+    cosine exceeds sqrt(1/2) is a second SVD taken, of ``F - E C``, whose
+    singular values (ascending) are the sines; those angles below pi/4 are
+    ``arcsin`` of their sine, the rest ``arccos`` of their cosine.  Both
+    value sets pass through :func:`clamp_cosine`.
+    """
+    _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
-        _check_pair(v, w)
         return np.zeros(0)
-    return principal_decomposition(v, w, tol).angles
+    e, f = _larger_first(v, w)
+    c = e.conj().T @ f
+    cosines = clamp_cosine(singular_values(c))
+    theta = np.arccos(cosines)
+    small = cosines > _SQRT_HALF
+    if np.any(small):
+        sines = clamp_cosine(singular_values(f - e @ c))[::-1]
+        theta[small] = np.arcsin(sines[small])
+    return np.sort(theta)
 
 
 def is_partially_orthogonal(v: Subspace, w: Subspace,

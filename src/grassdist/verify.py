@@ -18,9 +18,9 @@ from . import corpus as corpus_mod
 from .angles import (AngleRoute, asymmetric_angle, disjointness_angle,
                      pythagorean_sum, sine_identity_sum, supplementation_angle)
 from .errors import NumericalDegeneracyError
-from .metrics import METRICS, asymmetric_distance
+from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
-from .subspace import orthogonal_complement, random_subspace
+from .subspace import orthogonal_complement, principal_angles, random_subspace
 
 # Exterior-route cost grows combinatorially; above this ambient dimension
 # the route-agreement check falls back to principal vs gram only.
@@ -110,10 +110,10 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
+    perps = [orthogonal_complement(v) for _, v in pairs]
     worst = 0.0
-    for (_, v), (_, w) in itertools.permutations(pairs, 2):
-        lhs = asymmetric_angle(orthogonal_complement(v),
-                               orthogonal_complement(w), tol=tol)
+    for (i, (_, v)), (j, (_, w)) in itertools.permutations(enumerate(pairs), 2):
+        lhs = asymmetric_angle(perps[i], perps[j], tol=tol)
         rhs = asymmetric_angle(w, v, tol=tol)
         worst = max(worst, abs(lhs - rhs))
     return CheckResult("perp_duality", worst <= tol.angle_tol,
@@ -127,12 +127,23 @@ def _check_triangle(pairs, tol: Tolerance, seed: int) -> CheckResult:
     if len(triples) > _TRIANGLE_CAP:
         picks = rng.choice(len(triples), size=_TRIANGLE_CAP, replace=False)
         triples = [triples[i] for i in picks]
+    # the principal angles of each unordered pair, taken once; every
+    # metric over every triple is then a lookup plus the extension rule
+    angles: dict[tuple[int, int], np.ndarray] = {}
+
+    def dist(desc, a: int, b: int) -> float:
+        key = (min(a, b), max(a, b))
+        if key not in angles:
+            angles[key] = principal_angles(subs[a], subs[b], tol)
+        return extension_from_angles(desc, angles[key],
+                                     subs[a].dim, subs[b].dim).value
+
     worst = 0.0
     for name, desc in METRICS.items():
         for i, j, k in triples:
-            d_uw = asymmetric_distance(desc, subs[i], subs[k], tol).value
-            d_uv = asymmetric_distance(desc, subs[i], subs[j], tol).value
-            d_vw = asymmetric_distance(desc, subs[j], subs[k], tol).value
+            d_uw = dist(desc, i, k)
+            d_uv = dist(desc, i, j)
+            d_vw = dist(desc, j, k)
             worst = max(worst, d_uw - d_uv - d_vw)
     return CheckResult("triangle_inequality", worst <= 1e-8,
                        f"{len(triples)} triples x {len(METRICS)} metrics, "

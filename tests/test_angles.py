@@ -67,6 +67,28 @@ class TestGoldenCorpus:
         s2 = sin2_psi_from_gram(corpus.R4_PLANES_V, corpus.R4_PLANES_W, R)
         assert s2 == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1e80, 1e300])
+    def test_gram_route_is_scale_free(self, rng, scale):
+        v = random_matrix(rng, 6, 2, R)
+        w = random_matrix(rng, 6, 3, R)
+        v3 = random_matrix(rng, 6, 3, R)
+        w4 = random_subspace(6, 4, R, 7).basis
+        for fn, a, b, scaled in [
+            (cos2_theta_from_gram, v, w, (v * scale, w * scale)),
+            (sin2_upsilon_from_gram, v, w, (v * scale, w * scale)),
+            (sin2_psi_from_gram, v3, w4, (v3 * scale, w4)),
+        ]:
+            want = fn(a, b, R)
+            assert 0.0 < want < 1.0, fn.__name__
+            assert fn(*scaled, R) == pytest.approx(want, abs=1e-12), fn.__name__
+
+    def test_zero_column_rejected(self):
+        with pytest.raises(DegenerateBasisError):
+            cos2_theta_from_gram(np.zeros((3, 1)), np.eye(3)[:, :2], R)
+        with pytest.raises(DegenerateBasisError):
+            sin2_upsilon_from_gram(np.eye(3)[:, :1], np.zeros((3, 2)), R)
+
     def test_singular_gram_rejected(self):
         dependent = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
         with pytest.raises(DegenerateBasisError):
@@ -438,3 +460,14 @@ class TestAngleReport:
         nz = [t for t in rep.principal_angles if t > 1e-9]
         assert max(rep.upsilon, rep.psi) <= min(nz) + 1e-9
         assert max(nz) <= rep.theta_vw + 1e-9
+
+    def test_fields_equal_standalone_functions(self, field):
+        # {0}, the full space, p > q, p = q and p < q, in both orders
+        subs = [random_subspace(5, d, field, 60 + d) for d in range(6)]
+        subs.append(random_subspace(5, 2, field, 70))
+        for v, w in itertools.product(subs, repeat=2):
+            rep = angle_report(v, w)
+            assert rep.theta_vw == asymmetric_angle(v, w)
+            assert rep.theta_wv == asymmetric_angle(w, v)
+            assert rep.upsilon == disjointness_angle(v, w)
+            assert rep.psi == supplementation_angle(v, w)

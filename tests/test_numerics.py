@@ -145,6 +145,12 @@ def test_clamp_cosine():
     assert clamp_cosine(0.5) == 0.5
     with pytest.raises(NumericalDegeneracyError):
         clamp_cosine(1.1)
+    assert type(clamp_cosine(np.float64(0.5))) is float
+    clamped = clamp_cosine(np.array([1.0 + 1e-12, -1e-12, 0.5]))
+    assert isinstance(clamped, np.ndarray)
+    assert clamped.tolist() == [1.0, 0.0, 0.5]
+    with pytest.raises(NumericalDegeneracyError):
+        clamp_cosine(np.array([0.5, 1.1]))
 
 
 def test_numerical_rank(rng):

@@ -97,6 +97,8 @@ class TestPrincipalDecomposition:
         assert pd.intersection_dim(Tolerance()) == 2
         assert pd.angles[0] < 1e-12 and pd.angles[1] < 1e-12
         assert intersection_dim(v, w) == 2
+        for theta in (principal_angles(v, w), principal_angles(w, v)):
+            assert theta[0] < 1e-12 and theta[1] < 1e-12
 
     def test_zero_subspace_rejected(self):
         v = Subspace.zero(3, R)
@@ -138,6 +140,46 @@ class TestPrincipalDecomposition:
         v_sub = Subspace(n, field, v.basis @ mixv)
         theta_v = principal_angles(v_sub, w)
         assert np.all(theta_v <= theta[p - r:] + 1e-9)
+
+
+def _kernel_pair(field, n, p, q, shared, seed):
+    """A pair of subspaces of F^n of dims p and q sharing ``shared``
+    basis columns, the rest random."""
+    t = random_unitary(n, field, seed)
+    g = random_matrix(np.random.default_rng(seed), n, p + q - 2 * shared, field)
+    v = Subspace.from_columns(np.concatenate(
+        [t[:, :shared], g[:, :p - shared]], axis=1), field)
+    w = Subspace.from_columns(np.concatenate(
+        [t[:, :shared], g[:, p - shared:]], axis=1), field)
+    return v, w
+
+
+class TestPrincipalAnglesKernel:
+    @pytest.mark.parametrize("n, p, q, shared", [
+        (7, 2, 4, 0), (7, 3, 3, 0), (7, 5, 2, 0),
+        (8, 3, 5, 2), (8, 4, 4, 1), (8, 5, 3, 3),
+        (12, 6, 6, 0), (6, 1, 5, 0),
+    ], ids=lambda x: str(x))
+    def test_matches_decomposition_and_scipy(self, field, n, p, q, shared):
+        v, w = _kernel_pair(field, n, p, q, shared, 100 * n + 10 * p + q)
+        theta = principal_angles(v, w)
+        assert theta.shape == (min(p, q),)
+        assert np.all(np.diff(theta) >= 0)
+        np.testing.assert_allclose(principal_angles(w, v), theta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(principal_decomposition(v, w).angles, theta,
+                                   rtol=0, atol=1e-12)
+        assert np.count_nonzero(theta < 1e-12) == shared
+        if shared == 0:
+            linalg = pytest.importorskip("scipy.linalg")
+            want = np.sort(linalg.subspace_angles(v.basis, w.basis))
+            assert want[0] > 1e-6
+            np.testing.assert_allclose(theta, want, rtol=0, atol=1e-12)
+
+    def test_zero_subspace_gives_no_angles(self, field):
+        v = random_subspace(4, 2, field, 5)
+        z = Subspace.zero(4, field)
+        assert principal_angles(v, z).shape == (0,)
+        assert principal_angles(z, v).shape == (0,)
 
 
 class TestPartialOrthogonality:
