@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionError, NumericalDegeneracyError
+from .errors import DegenerateBasisError, DimensionError
 from .exterior import blade_from_basis, contraction, regressive, wedge
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine)
-from .subspace import (Subspace, _check_pair, complete_basis, intersection_dim,
-                       principal_angles, principal_decomposition, project_onto,
-                       underlying_real)
+from .subspace import (Subspace, _check_pair, complete_basis, principal_angles,
+                       principal_decomposition, project_onto, underlying_real)
 
 
 class AngleRoute(enum.Enum):
@@ -232,6 +231,11 @@ def disjointness_angle(v: Subspace, w: Subspace,
 
 def _psi_principal(v: Subspace, w: Subspace, tol: Tolerance,
                    theta: np.ndarray | None = None) -> float:
+    """Psi(V, W) by the case analysis on r = dim(V & W), read from the
+    principal angles alone: r counts the angles below ``tol.angle_tol``.
+    V + W is the whole space exactly when p + q - r = n, and then sin Psi
+    is the product of the sines of the remaining angles.  An angle just
+    above the cutoff makes the decision fragile; ``angle_report`` flags it."""
     n = v.ambient_dim
     if v.dim == n or w.dim == n:
         return math.pi / 2
@@ -240,11 +244,6 @@ def _psi_principal(v: Subspace, w: Subspace, tol: Tolerance,
     if theta is None:
         theta = principal_angles(v, w, tol)
     r = int(np.count_nonzero(theta < tol.angle_tol))
-    r_rank = intersection_dim(v, w, tol)
-    if r != r_rank:
-        raise NumericalDegeneracyError(
-            f"intersection dimension is ambiguous: {r} small principal angles "
-            f"vs stacked-basis rank count {r_rank}")
     if v.dim + w.dim - r < n:
         return 0.0
     sines = np.sin(theta[r:])
@@ -372,9 +371,10 @@ def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
 class AngleReport:
     """Every angle of a pair in one place (radians).
 
-    ``psi_ill_conditioned`` flags a fragile V + W = X decision: some
-    principal angle sits just above the zero cutoff, where the
-    supplementation case analysis is discontinuous.
+    Psi reads dim(V & W) as the number of principal angles below
+    ``angle_tol``.  ``psi_ill_conditioned`` flags a fragile V + W = X
+    decision: some principal angle lies in [angle_tol, 1e-6), just above
+    that cutoff, where the supplementation case analysis is discontinuous.
     """
 
     theta_vw: float

@@ -14,5 +14,5 @@ class DegenerateBasisError(GrassdistError, ValueError):
 
 
 class NumericalDegeneracyError(GrassdistError, ArithmeticError):
-    """Inconsistent numerical decisions: rank/angle-count mismatch, a cosine
-    exceeding 1 beyond roundoff slack, or SVD non-convergence."""
+    """A numerical result that cannot be trusted: a cosine exceeding 1
+    beyond roundoff slack, or SVD non-convergence."""

@@ -15,7 +15,6 @@ a small-n engine, not a large-scale path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -136,21 +135,6 @@ class Multivector:
         return "Multivector(" + " ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """The unit top blade ``e_{1..n}`` of the canonical ambient basis."""
-
-    ambient_dim: int
-    field: Field
-
-    @property
-    def top_index(self) -> MultiIndex:
-        return tuple(range(1, self.ambient_dim + 1))
-
-    def top_blade(self) -> Multivector:
-        return Multivector.basis_blade(self.ambient_dim, self.field, self.top_index)
-
-
 def _conj(c, field: Field):
     return c if field is Field.REAL else np.conj(c)
 
@@ -208,18 +192,15 @@ def contraction(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(a.ambient_dim, a.field, out)
 
 
-def star(a: Multivector, orientation: Orientation | None = None) -> Multivector:
-    """Hodge star ``a* = a _| top_blade``; an isometry taking grade p to
-    grade n - p, conjugate linear over the complex field."""
-    if orientation is None:
-        orientation = Orientation(a.ambient_dim, a.field)
-    if orientation.ambient_dim != a.ambient_dim or orientation.field != a.field:
-        raise DimensionError("orientation does not match the multivector algebra")
-    return contraction(a, orientation.top_blade())
+def star(a: Multivector) -> Multivector:
+    """Hodge star ``a* = a _| e_{1..n}``, the unit top blade of the canonical
+    ambient basis; an isometry taking grade p to grade n - p, conjugate
+    linear over the complex field."""
+    n = a.ambient_dim
+    return contraction(a, Multivector.basis_blade(n, a.field, range(1, n + 1)))
 
 
-def regressive(a: Multivector, b: Multivector,
-               orientation: Orientation | None = None) -> Multivector:
+def regressive(a: Multivector, b: Multivector) -> Multivector:
     """Regressive product, defined by ``star(a v b) = star(a) ^ star(b)``.
 
     Bilinear (the two conjugations cancel); on coordinate blades
@@ -227,10 +208,6 @@ def regressive(a: Multivector, b: Multivector,
     whole index range 1..n, else 0.
     """
     a._compatible(b)
-    if orientation is None:
-        orientation = Orientation(a.ambient_dim, a.field)
-    if orientation.ambient_dim != a.ambient_dim or orientation.field != a.field:
-        raise DimensionError("orientation does not match the multivector algebra")
     n = a.ambient_dim
     full = set(range(1, n + 1))
     out: dict[MultiIndex, complex] = {}

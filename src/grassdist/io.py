@@ -90,6 +90,8 @@ def parse_subspace_file(text: str, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile
             raise SubspaceFileError(f"malformed subspace entry: {exc}") from exc
         if sid in seen:
             raise SubspaceFileError(f"duplicate subspace id {sid!r}")
+        if not isinstance(vectors, list):
+            raise SubspaceFileError(f"subspace {sid!r}: vectors must be a list")
         seen.add(sid)
         rows = []
         for vec in vectors:

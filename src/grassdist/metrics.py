@@ -140,14 +140,9 @@ def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace, w: Subspace,
 
 def containment_gap(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
     """How far V is from being contained in W: sin of the largest principal
-    angle when dim V <= dim W, 1 otherwise; zero exactly for V inside W."""
-    _check_pair(v, w)
-    if v.dim == 0:
-        return 0.0
-    if v.dim > w.dim:
-        return 1.0
-    theta = principal_angles(v, w, tol)
-    return float(np.sin(theta[-1]))
+    angle when dim V <= dim W, 1 otherwise; zero exactly for V inside W.
+    This is the asymmetric extension of the projection 2-norm metric."""
+    return asymmetric_distance(METRICS["projection_2norm"], v, w, tol).value
 
 
 def gap(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -171,11 +166,12 @@ def directional_distance(v: Subspace, w: Subspace,
 
 def symmetric_distance(v: Subspace, w: Subspace,
                        tol: Tolerance = DEFAULT_TOL) -> float:
-    """max of the two directional distances: sqrt(|p - q| + sum sin^2 theta_i)."""
+    """max of the two directional distances: sqrt(|p - q| + sum sin^2 theta_i),
+    the one taken from the higher-dimensional side."""
     _check_pair(v, w)
-    p, q = v.dim, w.dim
-    s2 = float(np.sum(np.sin(principal_angles(v, w, tol)) ** 2))
-    return math.sqrt(abs(p - q) + s2)
+    if v.dim < w.dim:
+        v, w = w, v
+    return directional_distance(v, w, tol) if v.dim else 0.0
 
 
 def diagnostic_quantities(v: Subspace, w: Subspace,

@@ -282,7 +282,10 @@ def sum_subspace(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subs
 
 
 def intersection_dim(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> int:
-    """dim(V & W) by the rank of the stacked bases: p + q - rank[V | W]."""
+    """dim(V & W) by the rank of the stacked bases: p + q - rank[V | W].
+
+    An independent oracle for the tests; no default path uses it (Psi
+    counts the principal angles below ``angle_tol`` instead)."""
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         return 0

@@ -14,7 +14,7 @@ from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
                               spherical_pythagorean_check,
                               supplementation_angle)
 from grassdist.errors import DegenerateBasisError, DimensionError
-from grassdist.numerics import Field
+from grassdist.numerics import Field, Tolerance
 from grassdist.subspace import (Subspace, direct_sum, orthogonal_complement,
                                 principal_angles, random_subspace,
                                 random_unitary, sum_subspace)
@@ -221,16 +221,25 @@ class TestUpsilonPsiStructure:
         assert supplementation_angle(v, w) == pytest.approx(
             disjointness_angle(v, w), abs=1e-9)
 
-    def test_ambiguous_intersection_dimension_raises(self):
-        # a principal angle below angle_tol that the rank cutoff still
-        # resolves: the supplementarity case analysis must refuse to guess
-        from grassdist.errors import NumericalDegeneracyError
-        eps = 5e-10
-        v = Subspace.from_columns(np.eye(2)[:, :1], R)
-        w = Subspace.from_columns(
-            np.array([[math.cos(eps)], [math.sin(eps)]]), R)
-        with pytest.raises(NumericalDegeneracyError):
-            supplementation_angle(v, w)
+    def test_intersection_counted_from_angles(self):
+        # a plane V and a 4-space W of R^6 with principal angles eps and 0.7:
+        # dim(V & W) counts the angles below angle_tol, so psi is
+        # asin(sin eps sin 0.7) to within angle_tol on both sides of the
+        # cutoff, and the fragile band [angle_tol, 1e-6) is flagged
+        tol = Tolerance()
+        q = random_unitary(6, R, 1)
+        w = Subspace(6, R, q[:, :4])
+        for eps in np.logspace(-12, -5, 50):
+            v = Subspace(6, R, np.stack(
+                [math.cos(eps) * q[:, 0] + math.sin(eps) * q[:, 4],
+                 math.cos(0.7) * q[:, 1] + math.sin(0.7) * q[:, 5]], axis=1))
+            report = angle_report(v, w)
+            exact = math.asin(math.sin(eps) * math.sin(0.7))
+            assert abs(report.psi - exact) <= tol.angle_tol, eps
+            theta_1 = report.principal_angles[0]
+            assert report.psi_ill_conditioned == (
+                tol.angle_tol <= theta_1 < 1e-6), eps
+            assert supplementation_angle(v, w) == report.psi
 
     def test_definitions_via_complements(self, rng, field):
         # Upsilon = pi/2 - Theta(V, W-perp), Psi = pi/2 - Theta(V-perp, W)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grassdist import corpus
 from grassdist.errors import DimensionError
-from grassdist.exterior import (AMBIENT_CAP, Multivector, Orientation,
+from grassdist.exterior import (AMBIENT_CAP, Multivector,
                                 blade_from_basis, contraction, mv_inner,
                                 perm_sign, regressive, star, wedge)
 from grassdist.numerics import Field
@@ -203,11 +203,6 @@ class TestBladeFromBasis:
     def test_ambient_cap(self, rng):
         with pytest.raises(DimensionError):
             blade_from_basis(rng.standard_normal((AMBIENT_CAP + 1, 1)), R)
-
-
-def test_orientation_matches_ambient():
-    with pytest.raises(DimensionError):
-        star(mv(3, {(1,): 1}), Orientation(4, R))
 
 
 def test_pruning_keeps_terms_canonical():

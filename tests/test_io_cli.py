@@ -126,8 +126,13 @@ class TestSubspaceFile:
          "subspaces": [{"id": "a", "vectors": [[1]]}]},
         {"field": "real", "ambient_dim": 2.7,
          "subspaces": [{"id": "a", "vectors": [[1, 0]]}]},
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": None}]},
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": 5}]},
     ], ids=["no-subspaces", "no-ambient", "bad-field", "bad-length", "dup-id",
-            "bool-entry", "bool-in-pair", "bool-ambient", "fractional-ambient"])
+            "bool-entry", "bool-in-pair", "bool-ambient", "fractional-ambient",
+            "vectors-null", "vectors-number"])
     def test_malformed_rejected(self, doc):
         with pytest.raises(SubspaceFileError):
             parse_subspace_file(json.dumps(doc))
@@ -193,6 +198,30 @@ class TestAnglesCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["angles", str(bad), "A", "B"]) == 2
+
+    def test_angle_below_tolerance_is_an_intersection(self, tmp_path, capsys):
+        # two lines of R^2 at 5e-10 < angle_tol: the angle counts as zero,
+        # so dim(V & W) = 1, V + W falls short of R^2 and psi is 0
+        eps = 5e-10
+        doc = {"field": "real", "ambient_dim": 2,
+               "subspaces": [{"id": "a", "vectors": [[1, 0]]},
+                             {"id": "b", "vectors": [[math.cos(eps),
+                                                      math.sin(eps)]]}]}
+        path = write_file(tmp_path, doc)
+        assert main(["angles", path, "a", "b"]) == 0
+        out = capsys.readouterr().out
+        assert report_angles(out)["psi (supplementation)"] == (0.0, 0.0)
+        assert "note:" not in out
+
+    def test_numerical_degeneracy_exit_3(self, blades_file, capsys, monkeypatch):
+        from grassdist.errors import NumericalDegeneracyError
+
+        def degenerate(*args, **kwargs):
+            raise NumericalDegeneracyError("SVD did not converge")
+
+        monkeypatch.setattr("grassdist.cli.angle_report", degenerate)
+        assert main(["angles", blades_file, "A", "B"]) == 3
+        assert "numerical degeneracy:" in capsys.readouterr().err
 
 
 class TestMatrixCommand:
@@ -265,16 +294,6 @@ class TestMatrixCommand:
             assert main(["matrix", blades_file, "--metric", name]) == 0
             values = np.array(json.loads(capsys.readouterr().out)["values"])
             np.testing.assert_allclose(values, values.T, atol=1e-9)
-
-    def test_degenerate_pair_exit_3(self, tmp_path, capsys):
-        # intersection dimension ambiguous at the default tolerances
-        eps = 5e-10
-        doc = {"field": "real", "ambient_dim": 2,
-               "subspaces": [{"id": "a", "vectors": [[1, 0]]},
-                             {"id": "b", "vectors": [[math.cos(eps),
-                                                      math.sin(eps)]]}]}
-        path = write_file(tmp_path, doc)
-        assert main(["angles", path, "a", "b"]) == 3
 
 
 class TestVerifyCommand:
