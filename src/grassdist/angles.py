@@ -140,10 +140,14 @@ def sin2_psi_from_gram(v_columns, w_orthonormal_columns, field: Field) -> float:
 # The asymmetric angle Theta.
 # ---------------------------------------------------------------------------
 
-def _exterior_norms(v: Subspace, w: Subspace):
-    a = blade_from_basis(v.basis, v.field)
-    b = blade_from_basis(w.basis, w.field)
-    return a, b, a.norm() * b.norm()
+def _exterior_angle(a, b, product, arc) -> float:
+    """``arc`` of the norm of ``product(a, b)`` over the norms of the blades
+    ``a`` and ``b``: one angle on the exterior route."""
+    return arc(clamp_cosine(product(a, b).norm() / (a.norm() * b.norm())))
+
+
+def _blades(v: Subspace, w: Subspace):
+    return blade_from_basis(v.basis, v.field), blade_from_basis(w.basis, w.field)
 
 
 def _theta_principal(v: Subspace, w: Subspace, tol: Tolerance,
@@ -172,8 +176,7 @@ def asymmetric_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.GRAM:
         return math.acos(math.sqrt(cos2_theta_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
-        a, b, denom = _exterior_norms(v, w)
-        return math.acos(clamp_cosine(contraction(a, b).norm() / denom))
+        return _exterior_angle(*_blades(v, w), contraction, math.acos)
     return _theta_principal(v, w, tol)
 
 
@@ -224,8 +227,7 @@ def disjointness_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.GRAM:
         return math.asin(math.sqrt(sin2_upsilon_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
-        a, b, denom = _exterior_norms(v, w)
-        return math.asin(clamp_cosine(wedge(a, b).norm() / denom))
+        return _exterior_angle(*_blades(v, w), wedge, math.asin)
     return _upsilon_principal(v, w, tol)
 
 
@@ -265,8 +267,7 @@ def supplementation_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.GRAM:
         return math.asin(math.sqrt(sin2_psi_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
-        a, b, denom = _exterior_norms(v, w)
-        return math.asin(clamp_cosine(regressive(a, b).norm() / denom))
+        return _exterior_angle(*_blades(v, w), regressive, math.asin)
     return _psi_principal(v, w, tol)
 
 

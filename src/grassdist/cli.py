@@ -43,6 +43,17 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(rank_tol=args.rank_tol, angle_tol=args.angle_tol)
 
 
+def _tolerance_flag(text: str) -> float:
+    """A ``--rank-tol`` or ``--angle-tol`` value, held to ``Tolerance``'s
+    rule so that a negative or non-finite value is a usage error."""
+    try:
+        value = float(text)
+        Tolerance(value, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return value
+
+
 def _fmt_angle(radians: float) -> str:
     return f"{math.degrees(radians):12.6f} deg   ({radians!r} rad)"
 
@@ -154,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p):
-        p.add_argument("--rank-tol", type=float, default=1e-10)
-        p.add_argument("--angle-tol", type=float, default=1e-9)
+        p.add_argument("--rank-tol", type=_tolerance_flag, default=1e-10)
+        p.add_argument("--angle-tol", type=_tolerance_flag, default=1e-9)
 
     p_angles = sub.add_parser("angles", help="angle report for one pair")
     p_angles.add_argument("input", help="subspace file (JSON)")

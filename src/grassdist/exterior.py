@@ -1,20 +1,24 @@
-"""Sparse exterior (Grassmann) algebra over F^n for small n.
+"""Dense exterior (Grassmann) algebra over F^n for small n.
 
-Multivectors are sparse maps from multi-indices to coefficients.  A
-multi-index is a strictly increasing tuple of integers in ``1..n``; the
-empty tuple is the grade-0 index.  The canonical basis blades ``e_i`` are
-orthonormal, so the multivector inner product is the sesquilinear
-extension of ``<e_i, e_j> = delta_ij`` (conjugation on the first factor).
+A multi-index is a strictly increasing tuple in ``1..n``, () for grade 0.
+A multivector is one coefficient array of length 2^n indexed by bitmask
+(index i sets bit i - 1); a blade's coefficients are its Plücker
+coordinates.  The basis blades ``e_i`` are orthonormal and the inner
+product is conjugate linear in its first factor.
 
-This module is the second, independent computational route for every
-angle in the package: norms of the left contraction, the wedge and the
-regressive product give cosines and sines directly.  Term counts grow as
-2^n, so the ambient dimension is capped; this is a correctness oracle and
-a small-n engine, not a large-scale path.
+This module is the second, independent route for every angle in the
+package: norms of the left contraction, wedge and regressive product give
+cosines and sines directly.  Products gather and scatter-add over index and
+sign tables built on first use per (n, grade, grade); tables grow as
+multinomials in n, so the ambient dimension is capped.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import types
 from typing import Iterable
 
 import numpy as np
@@ -22,23 +26,16 @@ import numpy as np
 from .errors import DimensionError
 from .numerics import Field, as_matrix
 
-AMBIENT_CAP = 20
+# The largest table, for one grade pair at n = 14, has
+# C(14, 10) * C(10, 5) = 252,252 entries; at n = 20 it would have 133 M.
+AMBIENT_CAP = 14
 
-# Coefficients below this magnitude are pruned after every operation so the
-# sparse maps stay canonical (exact-zero structure drives blade tests).
+# Coefficients below this magnitude are zeroed after every operation so the
+# arrays stay canonical (exact-zero structure drives blade tests).
 PRUNE_TOL = 1e-14
 
-MultiIndex = tuple[int, ...]
 
-
-def _check_index(idx: MultiIndex, ambient_dim: int) -> None:
-    if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-        raise DimensionError(f"multi-index must be strictly increasing: {idx}")
-    if idx and (idx[0] < 1 or idx[-1] > ambient_dim):
-        raise DimensionError(f"multi-index {idx} out of range 1..{ambient_dim}")
-
-
-def perm_sign(i: MultiIndex, j: MultiIndex) -> int:
+def perm_sign(i: tuple[int, ...], j: tuple[int, ...]) -> int:
     """Sign of the permutation sorting the concatenation of ``i`` and ``j``.
 
     Returns 0 when the indices share an entry.
@@ -49,32 +46,47 @@ def perm_sign(i: MultiIndex, j: MultiIndex) -> int:
     return -1 if inversions % 2 else 1
 
 
-class Multivector:
-    """Sparse multivector: ``terms`` maps multi-indices to coefficients."""
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of 0..n-1 in combinations order, one per row."""
+    return np.array(list(itertools.combinations(range(n), k)),
+                    dtype=np.intp).reshape(math.comb(n, k), k)
 
-    __slots__ = ("ambient_dim", "field", "terms")
+
+@functools.lru_cache(maxsize=64)
+def _wedge_table(n: int, a: int, b: int):
+    """Every disjoint pair (i, j) of an a-subset and a b-subset, as flat
+    arrays (shared by every caller: read only): the masks of i, j and
+    i U j, and ``perm_sign(i, j)``.  Each
+    (a + b)-subset splits through an a-subset of its slots; slot complements
+    reverse combinations order, and a split's inversions are its slot sum
+    less a(a - 1)/2."""
+    unions, slots = _subsets(n, a + b), _subsets(a + b, a)
+    left = (1 << unions[:, slots]).sum(axis=2).ravel()
+    right = (1 << unions[:, _subsets(a + b, b)[::-1]]).sum(axis=2).ravel()
+    sign = 1.0 - 2.0 * ((slots.sum(axis=1) - a * (a - 1) // 2) % 2)
+    return left, right, left | right, np.tile(sign, len(unions))
+
+
+class Multivector:
+    """Multivector over F^n, built from a map of multi-indices to
+    coefficients and stored as one array indexed by bitmask."""
+
+    __slots__ = ("ambient_dim", "field", "_coeffs")
 
     def __init__(self, ambient_dim: int, field: Field, terms: dict | None = None):
-        if not 0 <= ambient_dim <= AMBIENT_CAP:
-            raise DimensionError(
-                f"ambient dimension {ambient_dim} outside 0..{AMBIENT_CAP}"
-            )
-        clean: dict[MultiIndex, complex] = {}
+        n = ambient_dim
+        if not 0 <= n <= AMBIENT_CAP:
+            raise DimensionError(f"ambient dimension {n} outside 0..{AMBIENT_CAP}")
+        self.ambient_dim, self.field = n, field
+        self._coeffs = np.zeros(1 << n, complex if terms else field.dtype)
         for idx, coeff in (terms or {}).items():
             idx = tuple(int(k) for k in idx)
-            _check_index(idx, ambient_dim)
-            c = complex(coeff)
-            if field is Field.REAL:
-                if c.imag != 0:
-                    raise DimensionError("complex coefficient in a real multivector")
-                c = c.real
-            if abs(c) >= PRUNE_TOL:
-                clean[idx] = clean.get(idx, 0) + c
-        self.ambient_dim = ambient_dim
-        self.field = field
-        self.terms = {k: v for k, v in clean.items() if abs(v) >= PRUNE_TOL}
-
-    # -- constructors -------------------------------------------------
+            if list(idx) != sorted(set(idx)) or any(not 1 <= i <= n for i in idx):
+                raise DimensionError(f"multi-index {idx} is not increasing in 1..{n}")
+            if abs(complex(coeff)) >= PRUNE_TOL:
+                self._coeffs[sum(1 << (i - 1) for i in idx)] += complex(coeff)
+        self._coeffs = self._like(self._coeffs)._coeffs
 
     @classmethod
     def zero(cls, ambient_dim: int, field: Field) -> "Multivector":
@@ -94,79 +106,85 @@ class Multivector:
         v = as_matrix(vec, field).reshape(-1)
         return cls(len(v), field, {(k + 1,): v[k] for k in range(len(v))})
 
-    # -- basic structure ----------------------------------------------
+    @property
+    def terms(self) -> types.MappingProxyType:
+        """Read-only map from multi-index to coefficient, nonzero terms only."""
+        return types.MappingProxyType({
+            tuple(i + 1 for i in range(self.ambient_dim) if m >> i & 1):
+                self._coeffs[m].item() for m in np.flatnonzero(self._coeffs)})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs.any()
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
-
-    # -- linear structure ---------------------------------------------
+        return float(np.linalg.norm(self._coeffs))
 
     def _compatible(self, other: "Multivector") -> None:
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise DimensionError("multivectors live in different ambient algebras")
 
+    def _like(self, coeffs: np.ndarray) -> "Multivector":
+        """A multivector of this algebra with ``coeffs``, pruned."""
+        if coeffs.dtype != self.field.dtype:  # complex values in a real algebra
+            if np.any(coeffs.imag):
+                raise DimensionError("complex coefficient in a real multivector")
+            coeffs = coeffs.real
+        out = Multivector.__new__(Multivector)
+        out.ambient_dim, out.field = self.ambient_dim, self.field
+        out._coeffs = np.where(np.abs(coeffs) >= PRUNE_TOL, coeffs, 0)
+        return out
+
+    def _grades(self) -> set[int]:
+        return {bin(m).count("1") for m in np.flatnonzero(self._coeffs).tolist()}
+
     def __add__(self, other: "Multivector") -> "Multivector":
         self._compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Multivector(self.ambient_dim, self.field, out)
+        return self._like(self._coeffs + other._coeffs)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.ambient_dim, self.field,
-                           {k: -c for k, c in self.terms.items()})
+        return self._like(-self._coeffs)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __rmul__(self, scalar) -> "Multivector":
-        return Multivector(self.ambient_dim, self.field,
-                           {k: scalar * c for k, c in self.terms.items()})
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "Multivector(0)"
-        parts = [f"{c:+.6g}*e{''.join(map(str, k)) or '_'}"
-                 for k, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))]
-        return "Multivector(" + " ".join(parts) + ")"
-
-
-def _conj(c, field: Field):
-    return c if field is Field.REAL else np.conj(c)
-
-
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product, the bilinear extension of
-    ``e_i ^ e_j = perm_sign(i, j) * e_{i U j}``."""
-    a._compatible(b)
-    out: dict[MultiIndex, complex] = {}
-    for ki, ci in a.terms.items():
-        for kj, cj in b.terms.items():
-            s = perm_sign(ki, kj)
-            if s == 0:
-                continue
-            key = tuple(sorted(ki + kj))
-            out[key] = out.get(key, 0) + s * ci * cj
-    return Multivector(a.ambient_dim, a.field, out)
+        return self._like(scalar * self._coeffs)
 
 
 def mv_inner(a: Multivector, b: Multivector):
     """Multivector inner product; conjugate linear in the first argument.
 
     Distinct grades are orthogonal, and the coordinate blades are an
-    orthonormal basis, so this is a plain sparse dot product.
+    orthonormal basis, so this is a plain dot product.
     """
     a._compatible(b)
-    total = 0j
-    for k, ca in a.terms.items():
-        cb = b.terms.get(k)
-        if cb is not None:
-            total += np.conj(ca) * cb
+    total = np.vdot(a._coeffs, b._coeffs)
     return float(total.real) if a.field is Field.REAL else complex(total)
+
+
+def _bilinear(a: Multivector, b: Multivector, contract: bool) -> Multivector:
+    """``wedge(a, b)``, or with ``contract`` the left contraction, which
+    reads the (p, q - p) wedge table backwards: e_i _| e_{i U k} =
+    perm_sign(i, k) e_k.  Summed over the grade pairs (p, q) of a and b."""
+    a._compatible(b)
+    n, x, y = a.ambient_dim, a._coeffs, b._coeffs
+    out = np.zeros(1 << n, a.field.dtype)
+    for p in a._grades():
+        for q in b._grades():
+            if contract and p <= q:
+                left, right, union, sign = _wedge_table(n, p, q - p)
+                np.add.at(out, right, sign * x[left].conj() * y[union])
+            elif not contract and p + q <= n:
+                left, right, union, sign = _wedge_table(n, p, q)
+                np.add.at(out, union, sign * x[left] * y[right])
+    return a._like(out)
+
+
+def wedge(a: Multivector, b: Multivector) -> Multivector:
+    """Exterior product, the bilinear extension of
+    ``e_i ^ e_j = perm_sign(i, j) * e_{i U j}``."""
+    return _bilinear(a, b, contract=False)
 
 
 def contraction(a: Multivector, b: Multivector) -> Multivector:
@@ -178,18 +196,7 @@ def contraction(a: Multivector, b: Multivector) -> Multivector:
     j, else 0; in particular the result vanishes whenever grade(a) exceeds
     grade(b).
     """
-    a._compatible(b)
-    out: dict[MultiIndex, complex] = {}
-    for ki, ca in a.terms.items():
-        si = set(ki)
-        cca = _conj(ca, a.field)
-        for kj, cb in b.terms.items():
-            if len(ki) > len(kj) or not si <= set(kj):
-                continue
-            rest = tuple(x for x in kj if x not in si)
-            s = perm_sign(ki, rest)
-            out[rest] = out.get(rest, 0) + s * cca * cb
-    return Multivector(a.ambient_dim, a.field, out)
+    return _bilinear(a, b, contract=True)
 
 
 def star(a: Multivector) -> Multivector:
@@ -205,32 +212,22 @@ def regressive(a: Multivector, b: Multivector) -> Multivector:
 
     Bilinear (the two conjugations cancel); on coordinate blades
     ``e_i v e_j = perm_sign(j', i') * e_{i & j}`` when ``i U j`` covers the
-    whole index range 1..n, else 0.
+    whole index range 1..n, else 0.  With primes for complements, that is
+    the wedge ``e_{j'} ^ e_{i'}`` complemented; the complement of mask m is
+    2^n - 1 - m, so complementing reverses a coefficient array.
     """
     a._compatible(b)
-    n = a.ambient_dim
-    full = set(range(1, n + 1))
-    out: dict[MultiIndex, complex] = {}
-    for ki, ci in a.terms.items():
-        si = set(ki)
-        icomp = tuple(x for x in range(1, n + 1) if x not in si)
-        for kj, cj in b.terms.items():
-            sj = set(kj)
-            if si | sj != full:
-                continue
-            jcomp = tuple(x for x in range(1, n + 1) if x not in sj)
-            key = tuple(x for x in ki if x in sj)
-            s = perm_sign(jcomp, icomp)
-            out[key] = out.get(key, 0) + s * ci * cj
-    return Multivector(a.ambient_dim, a.field, out)
+    out = wedge(b._like(b._coeffs[::-1]), a._like(a._coeffs[::-1]))
+    return out._like(out._coeffs[::-1])
 
 
 def blade_from_basis(columns, field: Field) -> Multivector:
-    """Wedge of the columns in order; the zero multivector exactly when the
-    columns are linearly dependent."""
+    """Wedge of the columns in order, as its Plücker coordinates: the p x p
+    minors of the n x p basis, one determinant per row subset.  The zero
+    multivector exactly when the columns are linearly dependent."""
     cols = as_matrix(columns, field)
-    n = cols.shape[0]
-    result = Multivector.scalar(n, field)
-    for j in range(cols.shape[1]):
-        result = wedge(result, Multivector.from_vector(cols[:, j], field))
-    return result
+    n, p = cols.shape
+    blade = Multivector(n, field)  # raises above the ambient cap
+    rows = _subsets(n, p)
+    blade._coeffs[(1 << rows).sum(axis=1)] = np.linalg.det(cols[rows])
+    return blade._like(blade._coeffs)

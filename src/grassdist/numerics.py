@@ -43,8 +43,9 @@ class Tolerance:
     angle_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if min(self.rank_tol, self.angle_tol) < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # NaN fails every comparison, so ask for a finite value >= 0 outright
+        if not all(0 <= t < np.inf for t in (self.rank_tol, self.angle_tol)):
+            raise ValueError("tolerances must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerance()

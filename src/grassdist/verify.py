@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .angles import (AngleRoute, asymmetric_angle, disjointness_angle,
-                     pythagorean_sum, sine_identity_sum, supplementation_angle)
+from .angles import (AngleRoute, _exterior_angle, angle_report, asymmetric_angle,
+                     disjointness_angle, pythagorean_sum, sine_identity_sum,
+                     supplementation_angle)
 from .errors import NumericalDegeneracyError
+from .exterior import blade_from_basis, contraction, regressive, wedge
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
 from .subspace import orthogonal_complement, principal_angles, random_subspace
@@ -28,6 +30,9 @@ _EXTERIOR_DIM_CAP = 10
 
 # Cap on sampled ordered triples for the triangle check on user files.
 _TRIANGLE_CAP = 600
+
+# What the route check compares, on the scale every route produces natively.
+_QUANTITIES = ("cos2_theta", "sin2_upsilon", "sin2_psi")
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,14 @@ def _angles_by_route(v, w, route, tol):
     return (asymmetric_angle(v, w, route, tol),
             disjointness_angle(v, w, route, tol),
             supplementation_angle(v, w, route, tol))
+
+
+def _exterior_angles(a, b):
+    """Theta, Upsilon and Psi on the exterior route, from a blade of each
+    subspace."""
+    return (_exterior_angle(a, b, contraction, math.acos),
+            _exterior_angle(a, b, wedge, math.asin),
+            _exterior_angle(a, b, regressive, math.asin))
 
 
 def _check_golden(tol: Tolerance) -> CheckResult:
@@ -90,23 +103,33 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_routes(pairs, tol: Tolerance) -> CheckResult:
-    routes = [AngleRoute.PRINCIPAL, AngleRoute.GRAM]
-    ambient = max((v.ambient_dim for _, v in pairs), default=0)
-    if ambient <= _EXTERIOR_DIM_CAP:
-        routes.append(AngleRoute.EXTERIOR)
-    worst = 0.0
-    # compare on the squared cosine/sine scale, which every route produces
-    # natively; the angle scale loses half the precision near 0 and pi/2
-    for (_, v), (_, w) in itertools.permutations(pairs, 2):
-        per_route = []
-        for route in routes:
-            th, up, ps = _angles_by_route(v, w, route, tol)
-            per_route.append((math.cos(th) ** 2, math.sin(up) ** 2,
-                              math.sin(ps) ** 2))
-        for a, b in itertools.combinations(per_route, 2):
-            worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
+    routes = ["principal", "gram"]
+    blades = []
+    if max((v.ambient_dim for _, v in pairs), default=0) <= _EXTERIOR_DIM_CAP:
+        routes.append("exterior")
+        # one blade per subspace; every exterior angle of every pair is a
+        # product of two of them
+        blades = [blade_from_basis(v.basis, v.field) for _, v in pairs]
+    worst, culprit = 0.0, "none"
+    for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
+        report = angle_report(v, w, tol=tol)
+        per_route = [(report.theta_vw, report.upsilon, report.psi),
+                     _angles_by_route(v, w, AngleRoute.GRAM, tol)]
+        if blades:
+            per_route.append(_exterior_angles(blades[i], blades[j]))
+        # compare on the squared cosine/sine scale, which every route
+        # produces natively; the angle scale loses half the precision near
+        # 0 and pi/2
+        squared = [(math.cos(th) ** 2, math.sin(up) ** 2, math.sin(ps) ** 2)
+                   for th, up, ps in per_route]
+        for (ra, a), (rb, b) in itertools.combinations(zip(routes, squared), 2):
+            for quantity, x, y in zip(_QUANTITIES, a, b):
+                if abs(x - y) > worst:
+                    worst = abs(x - y)
+                    culprit = f"{quantity} {vid}->{wid}, {ra} vs {rb}"
     return CheckResult("route_agreement", worst <= max(tol.angle_tol, 1e-8),
-                       f"{len(routes)} routes, max spread = {worst:.3e}", worst)
+                       f"{len(routes)} routes, max spread = {worst:.3e} ({culprit})",
+                       worst)
 
 
 def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
@@ -121,33 +144,38 @@ def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_triangle(pairs, tol: Tolerance, seed: int) -> CheckResult:
+    ids = [name for name, _ in pairs]
     subs = [s for _, s in pairs]
-    triples = list(itertools.product(range(len(subs)), repeat=3))
+    k = len(subs)
+    triples = list(itertools.product(range(k), repeat=3))
     rng = np.random.default_rng(seed)
     if len(triples) > _TRIANGLE_CAP:
         picks = rng.choice(len(triples), size=_TRIANGLE_CAP, replace=False)
         triples = [triples[i] for i in picks]
-    # the principal angles of each unordered pair, taken once; every
-    # metric over every triple is then a lookup plus the extension rule
-    angles: dict[tuple[int, int], np.ndarray] = {}
-
-    def dist(desc, a: int, b: int) -> float:
+    u, v, w = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    # the ordered pairs the triples read, with the principal angles of each
+    # unordered pair taken once; each metric is then one k x k matrix, and
+    # every triple three lookups in it
+    needed = {pair for i, j, l in triples for pair in ((i, l), (i, j), (j, l))}
+    angles = {}
+    for a, b in needed:
         key = (min(a, b), max(a, b))
         if key not in angles:
-            angles[key] = principal_angles(subs[a], subs[b], tol)
-        return extension_from_angles(desc, angles[key],
-                                     subs[a].dim, subs[b].dim).value
-
-    worst = 0.0
+            angles[key] = principal_angles(subs[key[0]], subs[key[1]], tol)
+    worst, culprit = 0.0, "none"
     for name, desc in METRICS.items():
-        for i, j, k in triples:
-            d_uw = dist(desc, i, k)
-            d_uv = dist(desc, i, j)
-            d_vw = dist(desc, j, k)
-            worst = max(worst, d_uw - d_uv - d_vw)
+        d = np.zeros((k, k))
+        for a, b in needed:
+            d[a, b] = extension_from_angles(desc, angles[min(a, b), max(a, b)],
+                                            subs[a].dim, subs[b].dim).value
+        violation = d[u, w] - d[u, v] - d[v, w]
+        if violation.size and violation.max() > worst:
+            t = int(np.argmax(violation))
+            worst = float(violation[t])
+            culprit = f"{name}: {ids[u[t]]}, {ids[v[t]]}, {ids[w[t]]}"
     return CheckResult("triangle_inequality", worst <= 1e-8,
                        f"{len(triples)} triples x {len(METRICS)} metrics, "
-                       f"max violation = {worst:.3e}", worst)
+                       f"max violation = {worst:.3e} ({culprit})", worst)
 
 
 def run_verification(pairs=None, tol: Tolerance = DEFAULT_TOL,

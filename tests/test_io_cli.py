@@ -213,6 +213,19 @@ class TestAnglesCommand:
         assert report_angles(out)["psi (supplementation)"] == (0.0, 0.0)
         assert "note:" not in out
 
+    @pytest.mark.parametrize("flag", ["--rank-tol", "--angle-tol"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, flag, value):
+        # with --rank-tol nan the lines [2, 0] and [1, 1] became {0} (exit 0)
+        doc = {"field": "real", "ambient_dim": 2,
+               "subspaces": [{"id": "a", "vectors": [[2, 0]]},
+                             {"id": "b", "vectors": [[1, 1]]}]}
+        path = write_file(tmp_path, doc)
+        assert main(["angles", path, "a", "b", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "finite and nonnegative" in captured.err
+        assert "dims" not in captured.out
+
     def test_numerical_degeneracy_exit_3(self, blades_file, capsys, monkeypatch):
         from grassdist.errors import NumericalDegeneracyError
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassdist.errors import DimensionError, NumericalDegeneracyError
-from grassdist.numerics import (Field, as_matrix, clamp_cosine,
+from grassdist.numerics import (Field, Tolerance, as_matrix, clamp_cosine,
                                 gram, inner, numerical_rank, orthonormalize,
                                 singular_values, svd)
 
@@ -163,3 +163,11 @@ def test_numerical_rank(rng):
 def test_as_matrix_rejects_complex_in_real_field():
     with pytest.raises(DimensionError):
         as_matrix(np.array([[1j, 0]]).T, Field.REAL)
+
+
+@pytest.mark.parametrize("name", ["rank_tol", "angle_tol"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_tolerance_rejects_negative_and_nonfinite(name, value):
+    with pytest.raises(ValueError):
+        Tolerance(**{name: value})
+    assert getattr(Tolerance(**{name: 0.0}), name) == 0.0

@@ -1,0 +1,99 @@
+import itertools
+import math
+import re
+
+from grassdist import corpus, verify
+from grassdist.angles import (AngleRoute, asymmetric_angle, disjointness_angle,
+                              supplementation_angle)
+from grassdist.metrics import METRICS, asymmetric_distance
+from grassdist.numerics import DEFAULT_TOL, Field
+from grassdist.subspace import random_subspace
+
+R = Field.REAL
+
+
+def r8_pairs(seed=7):
+    """Eight subspaces of R^8 with dims 1..7, as a ``verify`` file holds them."""
+    return [(f"v{i}", random_subspace(8, d, R, seed + i))
+            for i, d in enumerate([1, 2, 3, 4, 4, 5, 6, 7])]
+
+
+def route_quantities(v, w, route):
+    return (math.cos(asymmetric_angle(v, w, route)) ** 2,
+            math.sin(disjointness_angle(v, w, route)) ** 2,
+            math.sin(supplementation_angle(v, w, route)) ** 2)
+
+
+def test_route_check_builds_one_blade_per_subspace(monkeypatch):
+    import grassdist.angles as angles_mod
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (verify, angles_mod):
+        original = getattr(module, "blade_from_basis", None)
+        if original is not None:
+            monkeypatch.setattr(module, "blade_from_basis", counted(original))
+    pairs = r8_pairs()
+    result = verify._check_routes(pairs, DEFAULT_TOL)
+    assert result.passed
+    assert result.detail.startswith("3 routes")
+    assert len(calls) == len(pairs)
+
+
+def test_route_check_names_its_worst_pair_and_quantity():
+    pairs = r8_pairs()
+    result = verify._check_routes(pairs, DEFAULT_TOL)
+    m = re.search(r"\((\w+) (\S+)->(\S+), (\w+) vs (\w+)\)$", result.detail)
+    assert m, result.detail
+    quantity, vid, wid, ra, rb = m.groups()
+    subs = dict(pairs)
+    k = ("cos2_theta", "sin2_upsilon", "sin2_psi").index(quantity)
+    x = route_quantities(subs[vid], subs[wid], AngleRoute(ra))[k]
+    y = route_quantities(subs[vid], subs[wid], AngleRoute(rb))[k]
+    assert abs(x - y) == result.worst
+    # and no other ordered pair, quantity or route pair spreads further
+    spread = 0.0
+    for (_, v), (_, w) in itertools.permutations(pairs, 2):
+        per_route = [route_quantities(v, w, route) for route in AngleRoute]
+        for a, b in itertools.combinations(per_route, 2):
+            spread = max(spread, max(abs(s - t) for s, t in zip(a, b)))
+    assert spread == result.worst
+
+
+def test_triangle_check_names_its_worst_triple_and_metric():
+    # the corpus subspaces per ambient space and field, as ``verify`` groups
+    # them; some group has a rounding-level violation
+    groups = {}
+    for g in corpus.corpus():
+        for side, s in (("V", g.v), ("W", g.w)):
+            key = (s.ambient_dim, s.field)
+            groups.setdefault(key, []).append((f"{g.name}:{side}", s))
+    named = 0
+    for pairs in groups.values():
+        tri = verify._check_triangle(pairs, DEFAULT_TOL, 1)
+        if tri.worst == 0:
+            continue
+        named += 1
+        m = re.search(r"\((\w+): (\S+), (\S+), (\S+)\)$", tri.detail)
+        assert m, tri.detail
+        metric, u, v, w = m.groups()
+        subs = dict(pairs)
+
+        def d(a, b):
+            return asymmetric_distance(METRICS[metric], subs[a], subs[b]).value
+
+        assert d(u, w) - d(u, v) - d(v, w) == tri.worst
+    assert named
+
+
+def test_checks_without_a_culprit_say_none():
+    # {0} and the whole space: every triangle holds exactly
+    pairs = [(f"e{k}", random_subspace(3, k, R, 1)) for k in (0, 3)]
+    tri = verify._check_triangle(pairs, DEFAULT_TOL, 0)
+    assert tri.worst == 0.0
+    assert tri.detail.endswith("(none)")
