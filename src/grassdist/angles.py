@@ -12,6 +12,10 @@ each other: products over principal angles (default, robust for any n),
 Gram determinants (also available for arbitrary, non-orthonormal bases),
 and exterior algebra (contraction / wedge / regressive norms; the test
 oracle, capped at small ambient dimension).
+
+On the principal route Theta *is* the asymmetric Fubini-Study extension.
+No derivation takes arccos or arcsin of a product or sets a value to zero;
+only decisions read ``angle_tol``: Psi's dim(V & W) and the fragile band.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError
 from .exterior import blade_from_basis, contraction, regressive, wedge
-from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine)
+from .metrics import METRICS, asymmetric_distance, extension_from_angles
+from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
+                       product_and_complement)
 from .subspace import (Subspace, _check_pair, complete_basis, principal_angles,
                        principal_decomposition, project_onto, underlying_real)
 
@@ -39,6 +45,8 @@ class AngleRoute(enum.Enum):
 # Smallest nonzero principal angle below which the V + W = X decision (and
 # with it Eq-(2)-style case analysis) is fragile; reported, not guessed at.
 _CONDITION_BAND = 1e-6
+
+_FUBINI_STUDY = METRICS["fubini_study"]  # Theta, by the paper's construction
 
 
 # ---------------------------------------------------------------------------
@@ -150,34 +158,21 @@ def _blades(v: Subspace, w: Subspace):
     return blade_from_basis(v.basis, v.field), blade_from_basis(w.basis, w.field)
 
 
-def _theta_principal(v: Subspace, w: Subspace, tol: Tolerance,
-                     theta: np.ndarray | None = None) -> float:
-    """Theta(V, W) from the principal angles ``theta`` of the pair, which
-    are computed here only if not given and only if they are read."""
-    if v.dim == 0:
-        return 0.0
-    if w.dim == 0 or v.dim > w.dim:
-        return math.pi / 2
-    if theta is None:
-        theta = principal_angles(v, w, tol)
-    return math.acos(clamp_cosine(float(np.prod(np.cos(theta)))))
-
-
 def asymmetric_angle(v: Subspace, w: Subspace,
                      route: AngleRoute = AngleRoute.PRINCIPAL,
                      tol: Tolerance = DEFAULT_TOL) -> float:
     """Asymmetric angle Theta(V, W) in [0, pi/2].
 
-    Routes: product of principal-angle cosines; Gram determinant; norm of
-    the left contraction of representing blades.  All agree; pi/2 whenever
-    dim V > dim W, 0 for V = {0}.
+    Routes: the Fubini-Study extension of the principal angles; Gram
+    determinant; norm of the left contraction of representing blades.  All
+    agree; pi/2 whenever dim V > dim W, 0 for V = {0}.
     """
     _check_pair(v, w)
     if route is AngleRoute.GRAM:
         return math.acos(math.sqrt(cos2_theta_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
         return _exterior_angle(*_blades(v, w), contraction, math.acos)
-    return _theta_principal(v, w, tol)
+    return asymmetric_distance(_FUBINI_STUDY, v, w, tol).value
 
 
 def projection_factor(v: Subspace, w: Subspace,
@@ -204,13 +199,11 @@ def real_complex_relation_check(v: Subspace, w: Subspace,
 # Disjointness angle Upsilon and supplementation angle Psi.
 # ---------------------------------------------------------------------------
 
-def _upsilon_principal(v: Subspace, w: Subspace, tol: Tolerance,
-                       theta: np.ndarray | None = None) -> float:
-    if v.dim == 0 or w.dim == 0:
-        return math.pi / 2
-    if theta is None:
-        theta = principal_angles(v, w, tol)
-    return math.asin(clamp_cosine(float(np.prod(np.sin(theta)))))
+def _sine_product_angle(theta: np.ndarray) -> float:
+    """atan2(prod sin, sqrt(1 - prod sin^2)) over ``theta``, not pi/2 minus
+    an angle, so a tiny result keeps its relative accuracy.  Upsilon is this
+    over all the angles (pi/2, the empty product, when either side is {0})."""
+    return math.atan2(*product_and_complement(np.sin(theta), np.cos(theta)))
 
 
 def disjointness_angle(v: Subspace, w: Subspace,
@@ -228,28 +221,22 @@ def disjointness_angle(v: Subspace, w: Subspace,
         return math.asin(math.sqrt(sin2_upsilon_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
         return _exterior_angle(*_blades(v, w), wedge, math.asin)
-    return _upsilon_principal(v, w, tol)
+    return _sine_product_angle(principal_angles(v, w, tol))
 
 
-def _psi_principal(v: Subspace, w: Subspace, tol: Tolerance,
-                   theta: np.ndarray | None = None) -> float:
-    """Psi(V, W) by the case analysis on r = dim(V & W), read from the
-    principal angles alone: r counts the angles below ``tol.angle_tol``.
-    V + W is the whole space exactly when p + q - r = n, and then sin Psi
-    is the product of the sines of the remaining angles.  An angle just
-    above the cutoff makes the decision fragile; ``angle_report`` flags it."""
+def _psi_principal(v: Subspace, w: Subspace, theta: np.ndarray,
+                   tol: Tolerance) -> float:
+    """Psi(V, W) by the case analysis on r = dim(V & W), the count of
+    principal angles below ``tol.angle_tol``: V + W is the whole space
+    exactly when p + q - r = n ({0} never reaches it), and then sin Psi is
+    the product of the other sines.  ``angle_report`` flags a fragile r."""
     n = v.ambient_dim
     if v.dim == n or w.dim == n:
         return math.pi / 2
-    if v.dim == 0 or w.dim == 0:
-        return 0.0  # V + W is a proper subspace
-    if theta is None:
-        theta = principal_angles(v, w, tol)
     r = int(np.count_nonzero(theta < tol.angle_tol))
     if v.dim + w.dim - r < n:
         return 0.0
-    sines = np.sin(theta[r:])
-    return math.asin(clamp_cosine(float(np.prod(sines))))
+    return _sine_product_angle(theta[r:])
 
 
 def supplementation_angle(v: Subspace, w: Subspace,
@@ -268,7 +255,7 @@ def supplementation_angle(v: Subspace, w: Subspace,
         return math.asin(math.sqrt(sin2_psi_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
         return _exterior_angle(*_blades(v, w), regressive, math.asin)
-    return _psi_principal(v, w, tol)
+    return _psi_principal(v, w, principal_angles(v, w, tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +301,7 @@ def sine_identity_sum(v: Subspace, w: Subspace,
         if combo[-1] < q:  # all indices inside the 1..q block: skip
             continue
         total += _cos_theta_orthonormal(v.basis, full[:, combo]) ** 2
-    if p > q:
-        sin2 = 1.0
-    else:
-        sin2 = 1.0 - float(np.prod(np.cos(pd.angles)) ** 2)
-    return total, sin2
+    return total, extension_from_angles(METRICS["binet_cauchy"], pd.angles, p, q).value ** 2
 
 
 def spherical_pythagorean_check(v: Subspace, w: Subspace, w_sub: Subspace,
@@ -401,10 +384,10 @@ def angle_report(v: Subspace, w: Subspace,
     theta = principal_angles(v, w, tol)
     fragile = bool(np.any((theta >= tol.angle_tol) & (theta < _CONDITION_BAND)))
     if route is AngleRoute.PRINCIPAL:
-        values = (_theta_principal(v, w, tol, theta),
-                  _theta_principal(w, v, tol, theta),
-                  _upsilon_principal(v, w, tol, theta),
-                  _psi_principal(v, w, tol, theta))
+        values = (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim).value,
+                  extension_from_angles(_FUBINI_STUDY, theta, w.dim, v.dim).value,
+                  _sine_product_angle(theta),
+                  _psi_principal(v, w, theta, tol))
     else:
         values = (asymmetric_angle(v, w, route, tol),
                   asymmetric_angle(w, v, route, tol),

@@ -7,6 +7,10 @@ f_p(theta_1, .., theta_p) when 0 < p <= q, the diameter of the p-th
 Grassmannian when p > q, and 0 when p = 0.  The infimum characterizing the
 extension is never searched: the closed form above provably attains it.
 
+The Fubini-Study extension is Theta, atan2(sqrt(1 - prod cos^2), prod cos);
+Binet-Cauchy is sin Theta.  No f_p takes arccos or arcsin of a product or
+sets a value to zero: only decisions (Martin's infinity) read ``angle_tol``.
+
 Also: containment gap, gap, directional and symmetric distances, the two
 non-metric diagnostics (max-correlation and the Martin quantity), and
 symmetrization helpers.
@@ -22,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import DEFAULT_TOL, Field, Tolerance
+from .numerics import DEFAULT_TOL, Field, Tolerance, product_and_complement
 from .subspace import Subspace, _check_pair, principal_angles, random_unitary
 
 _HALF_PI = math.pi / 2
@@ -47,9 +51,11 @@ class MetricDescriptor:
 def _d_geodesic(t): return float(np.sqrt(np.sum(t * t)))
 def _d_chordal_frobenius(t): return float(2 * np.sqrt(np.sum(np.sin(t / 2) ** 2)))
 def _d_projection_frobenius(t): return float(np.sqrt(np.sum(np.sin(t) ** 2)))
-def _d_fubini_study(t): return float(np.arccos(min(1.0, np.prod(np.cos(t)))))
-def _d_chordal_wedge(t): return float(np.sqrt(max(0.0, 2 - 2 * np.prod(np.cos(t)))))
-def _d_binet_cauchy(t): return float(np.sqrt(max(0.0, 1 - np.prod(np.cos(t)) ** 2)))
+def _d_fubini_study(t):
+    cos_theta, sin_theta = product_and_complement(np.cos(t), np.sin(t))
+    return math.atan2(sin_theta, cos_theta)
+def _d_chordal_wedge(t): return 2 * math.sin(_d_fubini_study(t) / 2)
+def _d_binet_cauchy(t): return math.sin(_d_fubini_study(t))
 def _d_asimov(t): return float(t[-1])
 def _d_chordal_2norm(t): return float(2 * np.sin(t[-1] / 2))
 def _d_projection_2norm(t): return float(np.sin(t[-1]))
@@ -178,7 +184,8 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
                           tol: Tolerance = DEFAULT_TOL) -> dict[str, float]:
     """Non-metric diagnostics: max-correlation ``sin theta_1`` (zero exactly
     when the subspaces intersect) and the Martin quantity
-    ``sqrt(-log prod cos^2 theta_i)`` (infinite under partial orthogonality).
+    ``sqrt(-log prod cos^2 theta_i)`` (infinite under partial orthogonality),
+    summed as ``log1p(tan^2 theta_i)`` so neither end of [0, pi/2) cancels.
 
     Neither satisfies a triangle inequality for general subspaces.
     """
@@ -186,11 +193,8 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("diagnostics require nonzero subspaces")
     theta = principal_angles(v, w, tol)
-    cos2 = np.cos(theta) ** 2
-    if np.any(theta > _HALF_PI - tol.angle_tol) or np.any(cos2 == 0):
-        martin = math.inf
-    else:
-        martin = math.sqrt(-float(np.sum(np.log(cos2))))
+    martin = (math.inf if theta[-1] > _HALF_PI - tol.angle_tol
+              else math.sqrt(float(np.sum(np.log1p(np.tan(theta) ** 2)))))
     return {"max_correlation": float(np.sin(theta[0])), "martin": martin}
 
 

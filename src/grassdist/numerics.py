@@ -9,6 +9,7 @@ product is conjugate linear in the FIRST argument throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,8 @@ DEFAULT_TOL = Tolerance()
 CLAMP_SLACK = 1e-8
 
 # Ratios this close to 1 (a dozen ulp) are roundoff residue of an exactly-unit
-# value; arccos/arcsin amplify them into ~1e-8 of angle, so snap them first.
+# value; arccos/arcsin amplify them into ~1e-8 of angle, so clamp_cosine snaps
+# them in the kernel and the Gram and exterior routes (no derivation reads it).
 _UNIT_SNAP = 3e-15
 
 
@@ -171,6 +173,17 @@ def clamp_cosine(x, slack: float = CLAMP_SLACK):
         raise NumericalDegeneracyError(
             f"cosine/sine exceeds 1 beyond roundoff: {float(np.max(a))!r}")
     return np.where(a > 1.0 - _UNIT_SNAP, 1.0, np.maximum(a, 0.0))
+
+
+def product_and_complement(factors, complements) -> tuple[float, float]:
+    """``(prod f_i, sqrt(1 - prod f_i^2))`` for f_i^2 + g_i^2 = 1.  The root
+    sums ``x <- x + g_i^2 (1 - x)``, all terms nonnegative, so it does not
+    cancel where the product is near 1."""
+    prod, x = 1.0, 0.0
+    for f, g in zip(factors.tolist(), complements.tolist()):
+        prod *= f
+        x += g * g * (1.0 - x)
+    return prod, math.sqrt(x)
 
 
 def numerical_rank(m, rank_tol: float = DEFAULT_TOL.rank_tol) -> int:

@@ -14,7 +14,8 @@ from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
                               spherical_pythagorean_check,
                               supplementation_angle)
 from grassdist.errors import DegenerateBasisError, DimensionError
-from grassdist.numerics import Field, Tolerance
+from grassdist.metrics import asymmetric_distance
+from grassdist.numerics import DEFAULT_TOL, Field, Tolerance
 from grassdist.subspace import (Subspace, direct_sum, orthogonal_complement,
                                 principal_angles, random_subspace,
                                 random_unitary, sum_subspace)
@@ -113,12 +114,12 @@ class TestConventions:
 
     def test_equal_subspaces(self, field):
         v = random_subspace(5, 3, field, 2)
-        assert asymmetric_angle(v, v) == pytest.approx(0, abs=1e-7)
+        assert asymmetric_angle(v, v) < DEFAULT_TOL.angle_tol
 
     def test_theta_zero_iff_contained(self, rng, field):
         w = random_subspace(6, 4, field, 3)
         v = Subspace(6, field, w.basis[:, :2])
-        assert asymmetric_angle(v, w) < 1e-7
+        assert asymmetric_angle(v, w) < DEFAULT_TOL.angle_tol
         assert asymmetric_angle(w, v) == pytest.approx(math.pi / 2)
 
     def test_theta_right_angle_iff_partially_orthogonal(self, rng, field):
@@ -128,6 +129,67 @@ class TestConventions:
             w = random_subspace(5, int(rng.integers(1, 5)), field, seed + 100)
             right = asymmetric_angle(v, w) > math.pi / 2 - 1e-9
             assert right == is_partially_orthogonal(v, w)
+
+
+def _line_pair(angle, field):
+    """Two lines of the field's 3-space at the given angle, built exactly
+    in coordinates; over C the second line carries a phase."""
+    u = np.zeros((3, 1), dtype=field.dtype)
+    u[0] = 1
+    x = np.zeros((3, 1), dtype=field.dtype)
+    x[0] = math.cos(angle)
+    x[1] = math.sin(angle) * (1j if field is C else 1)
+    return Subspace.from_columns(u, field), Subspace.from_columns(x, field)
+
+
+def _within_ulps(got, want, ulps=4):
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+class TestSmallAngles:
+    """The derivations from the principal angles keep small angles: none
+    reads an angle back from a product near 1."""
+
+    @pytest.mark.parametrize("angle", [1e-12, 1e-10, 5e-9, 5e-8, 7e-8, 1e-6, 1e-2])
+    def test_line_pair(self, angle, field):
+        v, w = _line_pair(angle, field)
+        cos = math.cos(angle)
+        assert _within_ulps(asymmetric_angle(v, w), angle)
+        assert _within_ulps(asymmetric_distance("fubini_study", v, w).value, angle)
+        assert _within_ulps(disjointness_angle(v, w), angle)
+        assert _within_ulps(asymmetric_distance("binet_cauchy", v, w).value,
+                            math.sin(angle))
+        assert _within_ulps(asymmetric_distance("chordal_wedge", v, w).value,
+                            2 * math.sin(angle / 2))
+        assert _within_ulps(projection_factor(v, w),
+                            cos if field is R else cos * cos)
+
+    def test_upsilon_near_right_angle(self, field):
+        angle = math.pi / 2 - 1e-8
+        v, w = _line_pair(angle, field)
+        assert _within_ulps(disjointness_angle(v, w), angle)
+
+    def test_two_small_angles(self):
+        a, b = 1e-8, 2e-8
+        e = np.eye(6)
+        v = Subspace.from_columns(e[:, :2], R)
+        w = Subspace.from_columns(np.stack(
+            [math.cos(a) * e[:, 0] + math.sin(a) * e[:, 2],
+             math.cos(b) * e[:, 1] + math.sin(b) * e[:, 3]], axis=1), R)
+        sa2, sb2 = math.sin(a) ** 2, math.sin(b) ** 2
+        want = math.asin(math.sqrt(sa2 + sb2 - sa2 * sb2))
+        assert asymmetric_angle(v, w) == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n, field", [(5, R), (4, C)], ids=["R5", "C4"])
+    def test_theta_is_the_fubini_study_extension(self, n, field):
+        pairs = [(g.v, g.w) for g in corpus.corpus()]
+        pairs += [(g.w, g.v) for g in corpus.corpus()]
+        for p, q in itertools.product(range(n + 1), repeat=2):
+            pairs.append((random_subspace(n, p, field, 40 + p),
+                          random_subspace(n, q, field, 50 + q)))
+        for v, w in pairs:
+            assert asymmetric_angle(v, w) == asymmetric_distance(
+                "fubini_study", v, w).value
 
 
 class TestRouteAgreement:

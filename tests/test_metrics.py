@@ -222,6 +222,19 @@ class TestDiagnostics:
         assert d["max_correlation"] == pytest.approx(0, abs=1e-8)
         assert d["martin"] == pytest.approx(0, abs=1e-7)
 
+    @pytest.mark.parametrize("angle, want, rel", [
+        (1e-9, 1e-9, 4 * 2.0 ** -52),
+        # d(martin)/d(angle) ~ 1e8 / 6 here: one ulp of angle is ~6e-10 rel
+        (HALF_PI - 1e-8, math.sqrt(-2 * math.log(math.cos(HALF_PI - 1e-8))), 1e-9)])
+    def test_martin_at_both_ends(self, angle, want, rel):
+        # a line pair at ``angle``: sqrt(-log cos^2) keeps a tiny angle
+        # (positive, not -0.0) and stays finite just below the right angle
+        v = sub(np.eye(3)[:, :1])
+        w = sub(np.array([[math.cos(angle)], [math.sin(angle)], [0.0]]))
+        martin = diagnostic_quantities(v, w)["martin"]
+        assert math.copysign(1.0, martin) == 1.0
+        assert martin == pytest.approx(want, rel=rel, abs=0)
+
     def test_names_exported(self):
         assert set(DIAGNOSTICS) == {"max_correlation", "martin"}
 
