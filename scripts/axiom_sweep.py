@@ -15,14 +15,14 @@ import time
 import numpy as np
 
 from grassdist.metrics import METRICS, extension_from_angles
-from grassdist.numerics import DEFAULT_TOL, Field
+from grassdist.numerics import Field
 from grassdist.subspace import principal_decomposition, random_subspace
 
 
 def pair_angles(a, b):
     if a.dim == 0 or b.dim == 0:
         return np.zeros(0)
-    return principal_decomposition(a, b, DEFAULT_TOL).angles
+    return principal_decomposition(a, b).angles
 
 
 def sweep(triples: int, ambient: int, field: Field, seed: int):

@@ -159,39 +159,39 @@ def _blades(v: Subspace, w: Subspace):
 
 
 def asymmetric_angle(v: Subspace, w: Subspace,
-                     route: AngleRoute = AngleRoute.PRINCIPAL,
-                     tol: Tolerance = DEFAULT_TOL) -> float:
+                     route: AngleRoute = AngleRoute.PRINCIPAL) -> float:
     """Asymmetric angle Theta(V, W) in [0, pi/2].
 
     Routes: the Fubini-Study extension of the principal angles; Gram
     determinant; norm of the left contraction of representing blades.  All
-    agree; pi/2 whenever dim V > dim W, 0 for V = {0}.
+    give pi/2 whenever dim V > dim W and 0 for V = {0}.  The oracle routes
+    agree with the first down to about 7.7e-8: they take acos of a ratio
+    that :func:`clamp_cosine` snaps to 1 within 3e-15, so they read 0 below
+    that.  ``verify`` compares routes on the squared scale.
     """
     _check_pair(v, w)
     if route is AngleRoute.GRAM:
         return math.acos(math.sqrt(cos2_theta_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
         return _exterior_angle(*_blades(v, w), contraction, math.acos)
-    return asymmetric_distance(_FUBINI_STUDY, v, w, tol).value
+    return asymmetric_distance(_FUBINI_STUDY, v, w).value
 
 
-def projection_factor(v: Subspace, w: Subspace,
-                      tol: Tolerance = DEFAULT_TOL) -> float:
+def projection_factor(v: Subspace, w: Subspace) -> float:
     """Volume contraction factor under orthogonal projection from V to W:
     cos Theta over the reals, cos^2 Theta over the complexes."""
-    c = math.cos(asymmetric_angle(v, w, tol=tol))
+    c = math.cos(asymmetric_angle(v, w))
     return c if v.field is Field.REAL else c * c
 
 
-def real_complex_relation_check(v: Subspace, w: Subspace,
-                                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def real_complex_relation_check(v: Subspace, w: Subspace) -> tuple[float, float]:
     """Both sides of ``cos Theta(V_R, W_R) = cos^2 Theta(V, W)`` for a
     complex pair; equality is the assertion target."""
     if v.field is not Field.COMPLEX:
         raise DimensionError("relation check requires complex subspaces")
     _check_pair(v, w)
-    lhs = math.cos(asymmetric_angle(underlying_real(v), underlying_real(w), tol=tol))
-    rhs = math.cos(asymmetric_angle(v, w, tol=tol)) ** 2
+    lhs = math.cos(asymmetric_angle(underlying_real(v), underlying_real(w)))
+    rhs = math.cos(asymmetric_angle(v, w)) ** 2
     return lhs, rhs
 
 
@@ -207,8 +207,7 @@ def _sine_product_angle(theta: np.ndarray) -> float:
 
 
 def disjointness_angle(v: Subspace, w: Subspace,
-                       route: AngleRoute = AngleRoute.PRINCIPAL,
-                       tol: Tolerance = DEFAULT_TOL) -> float:
+                       route: AngleRoute = AngleRoute.PRINCIPAL) -> float:
     """Disjointness angle Upsilon(V, W) = pi/2 - Theta(V, W^perp).
 
     Zero exactly when V and W intersect nontrivially, pi/2 exactly when
@@ -221,7 +220,7 @@ def disjointness_angle(v: Subspace, w: Subspace,
         return math.asin(math.sqrt(sin2_upsilon_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
         return _exterior_angle(*_blades(v, w), wedge, math.asin)
-    return _sine_product_angle(principal_angles(v, w, tol))
+    return _sine_product_angle(principal_angles(v, w))
 
 
 def _psi_principal(v: Subspace, w: Subspace, theta: np.ndarray,
@@ -255,7 +254,7 @@ def supplementation_angle(v: Subspace, w: Subspace,
         return math.asin(math.sqrt(sin2_psi_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
         return _exterior_angle(*_blades(v, w), regressive, math.asin)
-    return _psi_principal(v, w, principal_angles(v, w, tol), tol)
+    return _psi_principal(v, w, principal_angles(v, w), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def _cos_theta_orthonormal(e: np.ndarray, f: np.ndarray) -> float:
     return clamp_cosine(abs(np.linalg.det(f.conj().T @ e)))
 
 
-def pythagorean_sum(v: Subspace, basis_vectors, tol: Tolerance = DEFAULT_TOL) -> float:
+def pythagorean_sum(v: Subspace, basis_vectors) -> float:
     """Sum of cos^2 Theta(V, [w_i]) over all coordinate p-subspaces of an
     orthonormal basis of the ambient space; the identity target is 1."""
     if v.dim == 0:
@@ -284,8 +283,7 @@ def pythagorean_sum(v: Subspace, basis_vectors, tol: Tolerance = DEFAULT_TOL) ->
     return total
 
 
-def sine_identity_sum(v: Subspace, w: Subspace,
-                      tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def sine_identity_sum(v: Subspace, w: Subspace) -> tuple[float, float]:
     """Both sides of the sine identity
     ``sin^2 Theta(V, W) = sum over p-multi-indices not inside 1..q of
     cos^2 Theta(V, [f_i])``, the f's extending a principal basis of W to
@@ -293,7 +291,7 @@ def sine_identity_sum(v: Subspace, w: Subspace,
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("sine identity requires nonzero subspaces")
-    pd = principal_decomposition(v, w, tol)
+    pd = principal_decomposition(v, w)
     full = complete_basis(pd.right_basis)
     p, q, n = v.dim, w.dim, v.ambient_dim
     total = 0.0
@@ -313,9 +311,9 @@ def spherical_pythagorean_check(v: Subspace, w: Subspace, w_sub: Subspace,
     if not w.contains(w_sub, tol):
         raise DimensionError("w_sub is not contained in w")
     pv = project_onto(v, w, tol)
-    lhs = math.cos(asymmetric_angle(v, w_sub, tol=tol))
-    rhs = (math.cos(asymmetric_angle(v, pv, tol=tol))
-           * math.cos(asymmetric_angle(pv, w_sub, tol=tol)))
+    lhs = math.cos(asymmetric_angle(v, w_sub))
+    rhs = (math.cos(asymmetric_angle(v, pv))
+           * math.cos(asymmetric_angle(pv, w_sub)))
     return lhs, rhs
 
 
@@ -334,16 +332,16 @@ def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
     if v1.dim and w.dim:
         # split W along a principal basis of (V', W): the leading right
         # principal vectors span P_W(V'), the rest its complement inside W
-        pd = principal_decomposition(v1, w, tol)
+        pd = principal_decomposition(v1, w)
         k = int(np.count_nonzero(pd.angles < np.pi / 2 - tol.angle_tol))
         w1 = Subspace(w.ambient_dim, w.field, pd.right_basis[:, :k])
         w2 = Subspace(w.ambient_dim, w.field, pd.right_basis[:, k:])
     else:
         w1 = Subspace.zero(w.ambient_dim, w.field)
         w2 = w
-    lhs = math.cos(asymmetric_angle(v, w, tol=tol))
-    rhs = (math.cos(asymmetric_angle(v1, w1, tol=tol))
-           * math.cos(asymmetric_angle(v2, w2, tol=tol)))
+    lhs = math.cos(asymmetric_angle(v, w))
+    rhs = (math.cos(asymmetric_angle(v1, w1))
+           * math.cos(asymmetric_angle(v2, w2)))
     return lhs, rhs
 
 
@@ -381,7 +379,7 @@ def angle_report(v: Subspace, w: Subspace,
     the report equals those functions bit for bit.
     """
     _check_pair(v, w)
-    theta = principal_angles(v, w, tol)
+    theta = principal_angles(v, w)
     fragile = bool(np.any((theta >= tol.angle_tol) & (theta < _CONDITION_BAND)))
     if route is AngleRoute.PRINCIPAL:
         values = (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim).value,
@@ -389,9 +387,9 @@ def angle_report(v: Subspace, w: Subspace,
                   _sine_product_angle(theta),
                   _psi_principal(v, w, theta, tol))
     else:
-        values = (asymmetric_angle(v, w, route, tol),
-                  asymmetric_angle(w, v, route, tol),
-                  disjointness_angle(v, w, route, tol),
+        values = (asymmetric_angle(v, w, route),
+                  asymmetric_angle(w, v, route),
+                  disjointness_angle(v, w, route),
                   supplementation_angle(v, w, route, tol))
     return AngleReport(
         *values,

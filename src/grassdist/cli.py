@@ -59,7 +59,8 @@ def _fmt_angle(radians: float) -> str:
 
 
 def cmd_angles(args) -> int:
-    sfile = load_subspace_file(args.input, _tolerance(args))
+    tol = _tolerance(args)
+    sfile = load_subspace_file(args.input, tol)
     try:
         v = sfile.get(args.id_from)
         w = sfile.get(args.id_to)
@@ -67,7 +68,6 @@ def cmd_angles(args) -> int:
         print(f"error: no subspace with id {exc.args[0]!r} in {args.input}",
               file=sys.stderr)
         return EXIT_USAGE
-    tol = _tolerance(args)
     report = angle_report(v, w, _ROUTES[args.route], tol)
     p, q, n = report.dims
     print(f"pair: {args.id_from} -> {args.id_to}   "
@@ -78,7 +78,7 @@ def cmd_angles(args) -> int:
     print(f"  psi (supplementation):   {_fmt_angle(report.psi)}")
     pa = ", ".join(f"{math.degrees(t):.6f}" for t in report.principal_angles)
     print(f"  principal angles (deg):  [{pa}]")
-    print(f"  projection factor:       {projection_factor(v, w, tol)!r}")
+    print(f"  projection factor:       {projection_factor(v, w)!r}")
     if report.psi_ill_conditioned:
         print("  note: psi case decision is near-degenerate "
               "(principal angle close to the zero cutoff)")
@@ -87,15 +87,15 @@ def cmd_angles(args) -> int:
 
 def _matrix_entry(name: str, v, w, tol: Tolerance) -> float:
     if name in METRICS:
-        return asymmetric_distance(METRICS[name], v, w, tol).value
+        return asymmetric_distance(METRICS[name], v, w).value
     if name == "containment_gap":
-        return containment_gap(v, w, tol)
+        return containment_gap(v, w)
     if name == "gap":
-        return gap(v, w, tol)
+        return gap(v, w)
     if name == "directional":
-        return 0.0 if v.dim == 0 else directional_distance(v, w, tol)
+        return 0.0 if v.dim == 0 else directional_distance(v, w)
     if name == "symmetric":
-        return symmetric_distance(v, w, tol)
+        return symmetric_distance(v, w)
     return diagnostic_quantities(v, w, tol)[name]
 
 

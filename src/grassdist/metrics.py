@@ -100,15 +100,14 @@ class DistanceResult:
     case: ExtensionCase
 
 
-def equal_dim_distance(name: str, v: Subspace, w: Subspace,
-                       tol: Tolerance = DEFAULT_TOL) -> float:
+def equal_dim_distance(name: str, v: Subspace, w: Subspace) -> float:
     """One of the nine metrics for subspaces of one common dimension."""
     desc = METRICS[name]
     _check_pair(v, w)
     if v.dim != w.dim or v.dim < 1:
         raise DimensionError("equal_dim_distance requires equal nonzero dimensions; "
                              "use asymmetric_distance otherwise")
-    return desc.f_p(principal_angles(v, w, tol))
+    return desc.f_p(principal_angles(v, w))
 
 
 def extension_from_angles(desc: MetricDescriptor, theta: np.ndarray,
@@ -129,14 +128,14 @@ def extension_from_angles(desc: MetricDescriptor, theta: np.ndarray,
     return DistanceResult(value, desc.name, (dim_from, dim_to), case)
 
 
-def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace, w: Subspace,
-                        tol: Tolerance = DEFAULT_TOL) -> DistanceResult:
+def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace,
+                        w: Subspace) -> DistanceResult:
     """Asymmetric extension of a metric family from V to W."""
     if isinstance(desc, str):
         desc = METRICS[desc]
     _check_pair(v, w)
     # outside 0 < p <= q the extension is 0 or the diameter: no angles read
-    theta = principal_angles(v, w, tol) if 0 < v.dim <= w.dim else np.zeros(0)
+    theta = principal_angles(v, w) if 0 < v.dim <= w.dim else np.zeros(0)
     return extension_from_angles(desc, theta, v.dim, w.dim)
 
 
@@ -144,40 +143,38 @@ def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace, w: Subspace,
 # Distances on the full Grassmannian that are not Table-style extensions.
 # ---------------------------------------------------------------------------
 
-def containment_gap(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def containment_gap(v: Subspace, w: Subspace) -> float:
     """How far V is from being contained in W: sin of the largest principal
     angle when dim V <= dim W, 1 otherwise; zero exactly for V inside W.
     This is the asymmetric extension of the projection 2-norm metric."""
-    return asymmetric_distance(METRICS["projection_2norm"], v, w, tol).value
+    return asymmetric_distance(METRICS["projection_2norm"], v, w).value
 
 
-def gap(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def gap(v: Subspace, w: Subspace) -> float:
     """Symmetrized containment gap; equals the operator norm of the
     projector difference, and is 1 whenever the dimensions differ."""
-    return max(containment_gap(v, w, tol), containment_gap(w, v, tol))
+    return max(containment_gap(v, w), containment_gap(w, v))
 
 
-def directional_distance(v: Subspace, w: Subspace,
-                         tol: Tolerance = DEFAULT_TOL) -> float:
+def directional_distance(v: Subspace, w: Subspace) -> float:
     """l2 size of the residuals of an orthonormal V-basis projected on W."""
     _check_pair(v, w)
     if v.dim == 0:
         raise DimensionError("directional distance requires a nonzero source")
     p, q = v.dim, w.dim
-    s2 = float(np.sum(np.sin(principal_angles(v, w, tol)) ** 2)) if q else 0.0
+    s2 = float(np.sum(np.sin(principal_angles(v, w)) ** 2)) if q else 0.0
     if p <= q:
         return math.sqrt(s2)
     return math.sqrt(p - q + s2)
 
 
-def symmetric_distance(v: Subspace, w: Subspace,
-                       tol: Tolerance = DEFAULT_TOL) -> float:
+def symmetric_distance(v: Subspace, w: Subspace) -> float:
     """max of the two directional distances: sqrt(|p - q| + sum sin^2 theta_i),
     the one taken from the higher-dimensional side."""
     _check_pair(v, w)
     if v.dim < w.dim:
         v, w = w, v
-    return directional_distance(v, w, tol) if v.dim else 0.0
+    return directional_distance(v, w) if v.dim else 0.0
 
 
 def diagnostic_quantities(v: Subspace, w: Subspace,
@@ -192,7 +189,7 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("diagnostics require nonzero subspaces")
-    theta = principal_angles(v, w, tol)
+    theta = principal_angles(v, w)
     martin = (math.inf if theta[-1] > _HALF_PI - tol.angle_tol
               else math.sqrt(float(np.sum(np.log1p(np.tan(theta) ** 2)))))
     return {"max_correlation": float(np.sin(theta[0])), "martin": martin}

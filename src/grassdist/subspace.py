@@ -33,6 +33,12 @@ _ORTHO_TOL = 1e-10
 _SQRT_HALF = math.sqrt(0.5)
 
 
+def _ortho_deviation(b: np.ndarray) -> float:
+    """max |B^H B - I|; NaN when B has a non-finite entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(gram(b) - np.eye(b.shape[1])))
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F^n held as an orthonormal column basis.
@@ -53,8 +59,8 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise DimensionError("more basis columns than ambient dimensions")
         if b.shape[1]:
-            dev = np.max(np.abs(gram(b) - np.eye(b.shape[1])))
-            if dev > _ORTHO_TOL:
+            dev = _ortho_deviation(b)
+            if not dev <= _ORTHO_TOL:  # a NaN deviation fails too
                 raise DimensionError(f"basis is not orthonormal (deviation {dev:.2e})")
 
     # -- constructors -------------------------------------------------
@@ -77,9 +83,7 @@ class Subspace:
         n, k = cols.shape
         if k == 0:
             return cls.zero(n, field)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: not orthonormal
-            dev = np.max(np.abs(gram(cols) - np.eye(k)))
-        if dev <= _ORTHO_TOL:
+        if _ortho_deviation(cols) <= _ORTHO_TOL:
             return cls(n, field, cols)
         basis = orthonormalize(cols, tol.rank_tol)
         return cls(n, field, basis.astype(field.dtype, copy=False),
@@ -132,8 +136,7 @@ class PrincipalDecomposition:
         return int(np.count_nonzero(self.angles < tol.angle_tol))
 
 
-def principal_decomposition(v: Subspace, w: Subspace,
-                            tol: Tolerance = DEFAULT_TOL) -> PrincipalDecomposition:
+def principal_decomposition(v: Subspace, w: Subspace) -> PrincipalDecomposition:
     """Principal decomposition via SVD of the cross-Gram matrix.
 
     Both subspaces must be nonzero; callers apply the {0} conventions
@@ -174,8 +177,7 @@ def _larger_first(v: Subspace, w: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return e, f
 
 
-def principal_angles(v: Subspace, w: Subspace,
-                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def principal_angles(v: Subspace, w: Subspace) -> np.ndarray:
     """The min(dim V, dim W) principal angles, ascending; empty when either
     subspace is {0}.  Symmetric in its arguments, bit for bit.
 
@@ -213,12 +215,11 @@ def is_partially_orthogonal(v: Subspace, w: Subspace,
         return False
     if w.dim == 0 or w.dim < v.dim:
         return True
-    theta = principal_angles(v, w, tol)
+    theta = principal_angles(v, w)
     return bool(theta[-1] > np.pi / 2 - tol.angle_tol)
 
 
-def projective_split(v: Subspace, w: Subspace,
-                     tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+def projective_split(v: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
     """Split W = W_P + W_perp along a principal basis with respect to V.
 
     W_P is spanned by the first min(p, q) principal vectors of W, W_perp by
@@ -229,7 +230,7 @@ def projective_split(v: Subspace, w: Subspace,
     m = min(v.dim, w.dim)
     if m == 0:
         return Subspace.zero(w.ambient_dim, w.field), w
-    pd = principal_decomposition(v, w, tol)
+    pd = principal_decomposition(v, w)
     w_p = Subspace(w.ambient_dim, w.field, pd.right_basis[:, :m])
     w_perp = Subspace(w.ambient_dim, w.field, pd.right_basis[:, m:])
     return w_p, w_perp
@@ -244,7 +245,7 @@ def project_onto(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subs
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         return Subspace.zero(w.ambient_dim, w.field)
-    pd = principal_decomposition(v, w, tol)
+    pd = principal_decomposition(v, w)
     k = int(np.count_nonzero(pd.angles < np.pi / 2 - tol.angle_tol))
     return Subspace(w.ambient_dim, w.field, pd.right_basis[:, :k])
 
@@ -317,10 +318,9 @@ def underlying_real(v: Subspace) -> Subspace:
     return Subspace(2 * v.ambient_dim, Field.REAL, basis)
 
 
-def random_subspace(ambient_dim: int, dim: int, field: Field, seed: int,
-                    tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Invariant-distribution random subspace: orthonormalized standard
-    Gaussian matrix, deterministic per seed."""
+def random_subspace(ambient_dim: int, dim: int, field: Field, seed: int) -> Subspace:
+    """Invariant-distribution random ``dim``-subspace: orthonormalized
+    standard Gaussian matrix, deterministic per seed."""
     if not 0 <= dim <= ambient_dim:
         raise DimensionError(f"dimension {dim} outside 0..{ambient_dim}")
     if dim == 0:
@@ -329,7 +329,7 @@ def random_subspace(ambient_dim: int, dim: int, field: Field, seed: int,
     g = rng.standard_normal((ambient_dim, dim))
     if field is Field.COMPLEX:
         g = g + 1j * rng.standard_normal((ambient_dim, dim))
-    return Subspace(ambient_dim, field, orthonormalize(g, tol.rank_tol))
+    return Subspace(ambient_dim, field, orthonormalize(g))
 
 
 def random_unitary(ambient_dim: int, field: Field, seed: int) -> np.ndarray:

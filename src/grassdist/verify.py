@@ -19,14 +19,10 @@ from .angles import (AngleRoute, _exterior_angle, angle_report, asymmetric_angle
                      disjointness_angle, pythagorean_sum, sine_identity_sum,
                      supplementation_angle)
 from .errors import NumericalDegeneracyError
-from .exterior import blade_from_basis, contraction, regressive, wedge
+from .exterior import AMBIENT_CAP, blade_from_basis, contraction, regressive, wedge
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
 from .subspace import orthogonal_complement, principal_angles, random_subspace
-
-# Exterior-route cost grows combinatorially; above this ambient dimension
-# the route-agreement check falls back to principal vs gram only.
-_EXTERIOR_DIM_CAP = 10
 
 # Cap on sampled ordered triples for the triangle check on user files.
 _TRIANGLE_CAP = 600
@@ -43,10 +39,11 @@ class CheckResult:
     worst: float = 0.0
 
 
-def _angles_by_route(v, w, route, tol):
-    return (asymmetric_angle(v, w, route, tol),
-            disjointness_angle(v, w, route, tol),
-            supplementation_angle(v, w, route, tol))
+def _gram_angles(v, w):
+    """Theta, Upsilon and Psi on the Gram route."""
+    route = AngleRoute.GRAM
+    return (asymmetric_angle(v, w, route), disjointness_angle(v, w, route),
+            supplementation_angle(v, w, route))
 
 
 def _exterior_angles(a, b):
@@ -62,9 +59,9 @@ def _check_golden(tol: Tolerance) -> CheckResult:
     culprit = ""
     for g in corpus_mod.corpus():
         computed = {
-            "theta_vw": asymmetric_angle(g.v, g.w, tol=tol),
-            "theta_wv": asymmetric_angle(g.w, g.v, tol=tol),
-            "upsilon": disjointness_angle(g.v, g.w, tol=tol),
+            "theta_vw": asymmetric_angle(g.v, g.w),
+            "theta_wv": asymmetric_angle(g.w, g.v),
+            "upsilon": disjointness_angle(g.v, g.w),
             "psi": supplementation_angle(g.v, g.w, tol=tol),
         }
         for key, got in computed.items():
@@ -85,7 +82,7 @@ def _check_pythagorean(pairs, tol: Tolerance) -> CheckResult:
         if v.dim == 0:
             continue
         basis = np.eye(v.ambient_dim, dtype=v.field.dtype)
-        total = pythagorean_sum(v, basis, tol)
+        total = pythagorean_sum(v, basis)
         worst = max(worst, abs(total - 1.0))
     return CheckResult("pythagorean_identity", worst <= tol.angle_tol,
                        f"max |sum - 1| = {worst:.3e}", worst)
@@ -96,7 +93,7 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
     for (_, v), (_, w) in itertools.permutations(pairs, 2):
         if v.dim == 0 or w.dim == 0:
             continue
-        lhs, rhs = sine_identity_sum(v, w, tol)
+        lhs, rhs = sine_identity_sum(v, w)
         worst = max(worst, abs(lhs - rhs))
     return CheckResult("sine_identity", worst <= tol.angle_tol,
                        f"max |sum - sin^2| = {worst:.3e}", worst)
@@ -105,7 +102,7 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
 def _check_routes(pairs, tol: Tolerance) -> CheckResult:
     routes = ["principal", "gram"]
     blades = []
-    if max((v.ambient_dim for _, v in pairs), default=0) <= _EXTERIOR_DIM_CAP:
+    if max((v.ambient_dim for _, v in pairs), default=0) <= AMBIENT_CAP:
         routes.append("exterior")
         # one blade per subspace; every exterior angle of every pair is a
         # product of two of them
@@ -114,7 +111,7 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
     for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
         report = angle_report(v, w, tol=tol)
         per_route = [(report.theta_vw, report.upsilon, report.psi),
-                     _angles_by_route(v, w, AngleRoute.GRAM, tol)]
+                     _gram_angles(v, w)]
         if blades:
             per_route.append(_exterior_angles(blades[i], blades[j]))
         # compare on the squared cosine/sine scale, which every route
@@ -136,14 +133,14 @@ def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
     perps = [orthogonal_complement(v) for _, v in pairs]
     worst = 0.0
     for (i, (_, v)), (j, (_, w)) in itertools.permutations(enumerate(pairs), 2):
-        lhs = asymmetric_angle(perps[i], perps[j], tol=tol)
-        rhs = asymmetric_angle(w, v, tol=tol)
+        lhs = asymmetric_angle(perps[i], perps[j])
+        rhs = asymmetric_angle(w, v)
         worst = max(worst, abs(lhs - rhs))
     return CheckResult("perp_duality", worst <= tol.angle_tol,
                        f"max |Theta(Vp,Wp) - Theta(W,V)| = {worst:.3e}", worst)
 
 
-def _check_triangle(pairs, tol: Tolerance, seed: int) -> CheckResult:
+def _check_triangle(pairs, seed: int) -> CheckResult:
     ids = [name for name, _ in pairs]
     subs = [s for _, s in pairs]
     k = len(subs)
@@ -161,7 +158,7 @@ def _check_triangle(pairs, tol: Tolerance, seed: int) -> CheckResult:
     for a, b in needed:
         key = (min(a, b), max(a, b))
         if key not in angles:
-            angles[key] = principal_angles(subs[key[0]], subs[key[1]], tol)
+            angles[key] = principal_angles(subs[key[0]], subs[key[1]])
     worst, culprit = 0.0, "none"
     for name, desc in METRICS.items():
         d = np.zeros((k, k))
@@ -198,7 +195,7 @@ def run_verification(pairs=None, tol: Tolerance = DEFAULT_TOL,
                 dim = int(rng.integers(1, n))
                 named.append((f"sampled{i}{j}",
                               random_subspace(n, dim, field,
-                                              int(rng.integers(2 ** 63)), tol)))
+                                              int(rng.integers(2 ** 63)))))
         # identity suites run per ambient dimension and field
         groups: dict[tuple, list] = {}
         for name, sub in named:
@@ -211,8 +208,9 @@ def run_verification(pairs=None, tol: Tolerance = DEFAULT_TOL,
 
 
 def _guarded(name: str, fn, *args) -> CheckResult:
-    """A check that trips numerical degeneracy (e.g. under an absurd
-    tolerance) counts as a failed check, not an aborted run."""
+    """A check that trips numerical degeneracy (an SVD that does not
+    converge, or a cosine beyond 1 + CLAMP_SLACK) counts as a failed check,
+    not an aborted run.  No tolerance setting can raise it."""
     try:
         return fn(*args)
     except NumericalDegeneracyError as exc:
@@ -226,7 +224,7 @@ def _run_identity_checks(pairs, tol: Tolerance, seed: int) -> list[CheckResult]:
         _guarded("sine_identity", _check_sine_identity, pairs, tol),
         _guarded("route_agreement", _check_routes, pairs, tol),
         _guarded("perp_duality", _check_perp_duality, pairs, tol),
-        _guarded("triangle_inequality", _check_triangle, pairs, tol, seed),
+        _guarded("triangle_inequality", _check_triangle, pairs, seed),
     ]
 
 

@@ -22,7 +22,7 @@ from grassdist.cli import main
 from grassdist.metrics import (METRICS, asymmetric_distance, containment_gap,
                                equal_dim_distance, extension_from_angles,
                                make_equality_triple)
-from grassdist.numerics import DEFAULT_TOL, Field
+from grassdist.numerics import Field
 from grassdist.subspace import (Subspace, direct_sum, orthogonal_complement,
                                 principal_angles, principal_decomposition,
                                 random_subspace, random_unitary, sum_subspace)
@@ -41,7 +41,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def _angles(v, w):
     if v.dim == 0 or w.dim == 0:
         return np.zeros(0)
-    return principal_decomposition(v, w, DEFAULT_TOL).angles
+    return principal_decomposition(v, w).angles
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,11 @@ class TestSubspaceConstruction:
     def test_rejects_nonorthonormal_direct_construction(self):
         with pytest.raises(DimensionError):
             Subspace(3, R, np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+        # a non-finite basis has a NaN deviation, which no cutoff accepts
+        for basis in ([[math.nan], [0.0], [0.0]],
+                      [[math.inf, 0.0], [0.0, 1.0], [0.0, 0.0]]):
+            with pytest.raises(DimensionError):
+                Subspace(3, R, np.array(basis))
 
 
 class TestPrincipalDecomposition:

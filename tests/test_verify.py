@@ -2,6 +2,8 @@ import itertools
 import math
 import re
 
+import pytest
+
 from grassdist import corpus, verify
 from grassdist.angles import (AngleRoute, asymmetric_angle, disjointness_angle,
                               supplementation_angle)
@@ -75,7 +77,7 @@ def test_triangle_check_names_its_worst_triple_and_metric():
             groups.setdefault(key, []).append((f"{g.name}:{side}", s))
     named = 0
     for pairs in groups.values():
-        tri = verify._check_triangle(pairs, DEFAULT_TOL, 1)
+        tri = verify._check_triangle(pairs, 1)
         if tri.worst == 0:
             continue
         named += 1
@@ -94,6 +96,16 @@ def test_triangle_check_names_its_worst_triple_and_metric():
 def test_checks_without_a_culprit_say_none():
     # {0} and the whole space: every triangle holds exactly
     pairs = [(f"e{k}", random_subspace(3, k, R, 1)) for k in (0, 3)]
-    tri = verify._check_triangle(pairs, DEFAULT_TOL, 0)
+    tri = verify._check_triangle(pairs, 0)
     assert tri.worst == 0.0
     assert tri.detail.endswith("(none)")
+
+
+@pytest.mark.parametrize("ambient, routes", [(12, "3 routes"), (15, "2 routes")])
+def test_route_check_runs_the_exterior_route_up_to_its_cap(ambient, routes):
+    # the exterior oracle covers every ambient dimension up to AMBIENT_CAP
+    # (14); above it the check compares the other two routes and raises
+    pairs = [(f"v{d}", random_subspace(ambient, d, R, d)) for d in (1, 2, 4)]
+    result = verify._check_routes(pairs, DEFAULT_TOL)
+    assert result.detail.startswith(routes), result.detail
+    assert result.passed
