@@ -2,7 +2,8 @@
 metric extension comes to violating the oriented triangle inequality.
 
 Every run is seeded; a healthy build reports worst slacks at roundoff
-scale (about -1e-15) and zero violations.
+scale (about -1e-15) and zero violations.  The exit status is 1 when any
+violation (slack below -1e-8) was counted, else 0.
 
 Usage:
     python scripts/axiom_sweep.py --triples 5000 --ambient 6 --field real
@@ -10,6 +11,7 @@ Usage:
 
 import argparse
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -51,6 +53,7 @@ def sweep(triples: int, ambient: int, field: Field, seed: int):
     print(f"{'metric':<22}{'worst slack':>14}{'violations':>12}")
     for name in METRICS:
         print(f"{name:<22}{worst[name]:>14.2e}{violations[name]:>12}")
+    return sum(violations.values())
 
 
 def main():
@@ -60,7 +63,8 @@ def main():
     parser.add_argument("--field", choices=["real", "complex"], default="real")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    sweep(args.triples, args.ambient, Field(args.field), args.seed)
+    violations = sweep(args.triples, args.ambient, Field(args.field), args.seed)
+    sys.exit(1 if violations else 0)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,17 @@ A subspace file is JSON:
 
 Each vector is one spanning row of length n; complex entries are encoded
 as two-element ``[re, im]`` arrays to avoid string-parsing ambiguity.
-JSON is the canonical machine format (full precision); CSV is provided for
-distance matrices only.
+Every entry must be a JSON number (an integer must fit a double); a complex
+file may mix real numbers with ``[re, im]`` pairs.  JSON is the canonical
+machine format (full precision); CSV is provided for distance matrices only.
+
+Each subspace's vectors take one array conversion when they form a regular
+(k, n) array of numbers in a real file, or (k, n, 2) in a complex one, and
+the file text holds no ``true`` or ``false`` (numpy would read a boolean as
+1 or 0).  Anything else -- mixed reals and pairs, strings, ``null``,
+booleans, ragged rows, integers beyond 64 bits -- goes through the
+per-scalar validator, which words every rejection.  Both give bit-identical
+bases.
 """
 
 from __future__ import annotations
@@ -52,19 +61,57 @@ _NUMBER_TYPES = (int, float)
 
 
 def _parse_scalar(entry, field: Field):
-    if type(entry) in _NUMBER_TYPES:
-        return float(entry)
-    if (field is Field.COMPLEX and type(entry) is list and len(entry) == 2
-            and type(entry[0]) in _NUMBER_TYPES
-            and type(entry[1]) in _NUMBER_TYPES):
-        return complex(entry[0], entry[1])
+    try:
+        if type(entry) in _NUMBER_TYPES:
+            return float(entry)
+        if (field is Field.COMPLEX and type(entry) is list and len(entry) == 2
+                and type(entry[0]) in _NUMBER_TYPES
+                and type(entry[1]) in _NUMBER_TYPES):
+            return complex(entry[0], entry[1])
+    except OverflowError as exc:
+        raise SubspaceFileError(
+            f"entry {entry!r} does not fit a double: {exc}") from exc
     raise SubspaceFileError(f"bad scalar entry {entry!r} for field {field.value}")
+
+
+def _validated_columns(vectors: list, sid: str, n: int, field: Field) -> np.ndarray:
+    """The (n, k) columns of ``vectors``, checked entry by entry."""
+    rows = []
+    for vec in vectors:
+        if not isinstance(vec, list) or len(vec) != n:
+            raise SubspaceFileError(
+                f"subspace {sid!r}: every vector must have length {n}")
+        rows.append([_parse_scalar(x, field) for x in vec])
+    return (np.array(rows, dtype=field.dtype).T if rows
+            else np.zeros((n, 0), dtype=field.dtype))
+
+
+def _array_columns(vectors: list, n: int, field: Field) -> np.ndarray | None:
+    """The (n, k) columns of ``vectors`` from one array conversion, or None
+    when they are not a regular array of numbers.  numpy infers the dtype,
+    so strings and ``null`` fall out as non-numeric kinds and integers
+    beyond 64 bits as objects; the caller must rule out booleans."""
+    try:
+        a = np.asarray(vectors)
+    except ValueError:   # ragged: mixed reals and pairs, or bad lengths
+        return None
+    shape = (len(vectors), n) + ((2,) if field is Field.COMPLEX else ())
+    if a.dtype.kind not in "fiu" or a.shape != shape:
+        return None
+    a = a.astype(np.float64, copy=False)
+    if field is Field.COMPLEX:
+        # reinterpret the [re, im] pairs; re + 1j * im would turn a -0.0
+        # real part into +0.0
+        a = a.view(np.complex128)[..., 0]
+    return a.T
 
 
 def parse_subspace_file(text: str, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the interpreter's digit limit,
+        # or nesting too deep for the decoder
         raise SubspaceFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SubspaceFileError("top level must be an object")
@@ -80,6 +127,7 @@ def parse_subspace_file(text: str, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile
         raise SubspaceFileError("ambient_dim must be positive")
     if not isinstance(entries, list) or not entries:
         raise SubspaceFileError("need at least one subspace")
+    may_hold_bool = "true" in text or "false" in text
     out: list[tuple[str, Subspace]] = []
     seen: set[str] = set()
     for item in entries:
@@ -93,14 +141,9 @@ def parse_subspace_file(text: str, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile
         if not isinstance(vectors, list):
             raise SubspaceFileError(f"subspace {sid!r}: vectors must be a list")
         seen.add(sid)
-        rows = []
-        for vec in vectors:
-            if not isinstance(vec, list) or len(vec) != n:
-                raise SubspaceFileError(
-                    f"subspace {sid!r}: every vector must have length {n}")
-            rows.append([_parse_scalar(x, field) for x in vec])
-        cols = (np.array(rows, dtype=field.dtype).T if rows
-                else np.zeros((n, 0), dtype=field.dtype))
+        cols = None if may_hold_bool else _array_columns(vectors, n, field)
+        if cols is None:
+            cols = _validated_columns(vectors, sid, n, field)
         try:
             sub = Subspace.from_columns(cols, field, tol)
         except DimensionError as exc:

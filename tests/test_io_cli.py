@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from grassdist.cli import main
-from grassdist.io import (SubspaceFileError, dump_subspace_file,
+from grassdist.io import (SubspaceFileError, _array_columns, dump_subspace_file,
                           load_subspace_file, parse_subspace_file)
 from grassdist.numerics import Field
+from grassdist.subspace import Subspace
 
 S2 = math.sqrt(2) / 2
 
@@ -130,18 +131,154 @@ class TestSubspaceFile:
          "subspaces": [{"id": "a", "vectors": None}]},
         {"field": "real", "ambient_dim": 2,
          "subspaces": [{"id": "a", "vectors": 5}]},
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [["1.5", 0]]}]},
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[None, 0]]}]},
+        {"field": "complex", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[["1", 0], [0, 0]]]}]},
+        {"field": "complex", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[[1, 0, 0], [0, 1, 0]]]}]},
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[[1, 0], [0, 1]]]}]},
+        {"field": "real", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[10 ** 400, 0]]}]},
+        {"field": "complex", "ambient_dim": 2,
+         "subspaces": [{"id": "a", "vectors": [[[0, 10 ** 400], [0, 1]]]}]},
     ], ids=["no-subspaces", "no-ambient", "bad-field", "bad-length", "dup-id",
             "bool-entry", "bool-in-pair", "bool-ambient", "fractional-ambient",
-            "vectors-null", "vectors-number"])
+            "vectors-null", "vectors-number", "string-entry", "null-entry",
+            "string-in-pair", "three-element-pair", "pair-in-real-file",
+            "huge-int", "huge-int-in-pair"])
     def test_malformed_rejected(self, doc):
         with pytest.raises(SubspaceFileError):
             parse_subspace_file(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        '{"field": "real", "ambient_dim": 1, "subspaces": [{"id": "a", '
+        '"vectors": [[' + "1" * 5000 + ']]}]}',
+        "[" * 100_000,
+    ], ids=["5000-digit-int", "deep-nesting"])
+    def test_undecodable_rejected(self, text):
+        with pytest.raises(SubspaceFileError):
+            parse_subspace_file(text)
 
     def test_nonfinite_rejected(self):
         text = json.dumps({"field": "real", "ambient_dim": 2,
                            "subspaces": [{"id": "a", "vectors": [[1e400, 0]]}]})
         with pytest.raises(SubspaceFileError):
             parse_subspace_file(text)
+
+
+def per_scalar_columns(vectors, field):
+    """The reference rule: each entry through ``float`` or, for a pair,
+    ``complex(re, im)``, then one array of the field's dtype."""
+    def scalar(x):
+        return complex(*x) if isinstance(x, list) else float(x)
+    return np.array([[scalar(x) for x in vec] for vec in vectors],
+                    dtype=field.dtype).T
+
+
+# Entries that numpy reads as float64, int64 and uint64 arrays, with the
+# integers that need rounding to a double (2**53 + 1, 2**63 + 1025).
+REAL_VECTORS = {
+    "floats": [[0.1, -0.0, 1e-300, -2.5], [1e300, 3.0, -0.0, 7.25]],
+    "int64": [[2 ** 53 + 1, -2 ** 63, 3, 0], [-(2 ** 53 + 1), 1, 0, 5]],
+    "uint64": [[2 ** 63 + 1, 2 ** 63 + 1025, 2 ** 64 - 1, 0],
+               [1, 0, 2 ** 63 + 3073, 2]],
+    "mixed": [[2 ** 63 + 1, -2 ** 63, 0.5, 2 ** 53 + 1], [0, -0.0, 1, 9]],
+}
+COMPLEX_VECTORS = {
+    "floats": [[[-0.0, 1.0], [0.5, -0.0], [-0.0, -0.0]],
+               [[0.25, 0.75], [-0.0, 2.5], [1e-300, 0.0]]],
+    "int64": [[[2 ** 53 + 1, -2 ** 63], [1, 0], [0, 1]],
+              [[0, 3], [-(2 ** 53 + 1), 0], [4, 4]]],
+    "uint64": [[[2 ** 63 + 1, 2 ** 63 + 1025], [1, 2], [2 ** 64 - 1, 0]],
+               [[0, 0], [2 ** 63 + 3073, 5], [1, 1]]],
+    "mixed": [[[2 ** 63 + 1, -1], [-0.0, 0.5], [2 ** 53 + 1, 0]],
+              [[1, 1], [0, -0.0], [3, 4]]],
+}
+
+
+def vectors_file(field, vectors):
+    n = len(next(iter(vectors.values()))[0])
+    return {"field": field.value, "ambient_dim": n,
+            "subspaces": [{"id": sid, "vectors": vecs}
+                          for sid, vecs in vectors.items()]}
+
+
+def assert_bases_identical(parsed, expected):
+    for (sid, sub), (eid, ref) in zip(parsed.subspaces, expected):
+        assert sid == eid
+        assert sub.basis.dtype == ref.basis.dtype
+        assert sub.basis.shape == ref.basis.shape
+        assert sub.basis.strides == ref.basis.strides
+        assert sub.basis.tobytes() == ref.basis.tobytes()
+        assert sub.was_reduced == ref.was_reduced
+
+
+def fail_if_called(what):
+    def fail(*args):
+        raise AssertionError(what)
+    return fail
+
+
+def per_scalar_bases(doc):
+    field = Field(doc["field"])
+    return [(item["id"], Subspace.from_columns(
+                per_scalar_columns(item["vectors"], field), field))
+            for item in doc["subspaces"]]
+
+
+class TestArrayConversionParity:
+    """One array conversion per subspace gives the bits of the per-scalar
+    rule, and everything it cannot take falls back to that rule."""
+
+    @pytest.mark.parametrize("field, vectors", [
+        (Field.REAL, REAL_VECTORS), (Field.COMPLEX, COMPLEX_VECTORS)],
+        ids=["real", "complex"])
+    def test_array_columns_match_per_scalar_rule(self, field, vectors):
+        for sid, vecs in vectors.items():
+            expected = per_scalar_columns(vecs, field)
+            cols = _array_columns(vecs, expected.shape[0], field)
+            assert cols is not None, sid
+            assert cols.dtype == expected.dtype
+            assert cols.strides == expected.strides
+            assert cols.tobytes() == expected.tobytes(), sid
+
+    @pytest.mark.parametrize("field, vectors", [
+        (Field.REAL, REAL_VECTORS), (Field.COMPLEX, COMPLEX_VECTORS)],
+        ids=["real", "complex"])
+    def test_parsed_bases_match_per_scalar_rule(self, field, vectors,
+                                                monkeypatch):
+        doc = vectors_file(field, vectors)
+        expected = per_scalar_bases(doc)
+        monkeypatch.setattr("grassdist.io._validated_columns",
+                            fail_if_called("validator on a regular file"))
+        assert_bases_identical(parse_subspace_file(json.dumps(doc)), expected)
+
+    def test_true_in_an_id_takes_the_validator(self, monkeypatch):
+        doc = vectors_file(Field.COMPLEX, COMPLEX_VECTORS)
+        doc["subspaces"][0]["id"] = "true-line"
+        expected = per_scalar_bases(doc)
+        monkeypatch.setattr("grassdist.io._array_columns", fail_if_called(
+            "array conversion despite a 'true' token"))
+        assert_bases_identical(parse_subspace_file(json.dumps(doc)), expected)
+
+    def test_mixed_reals_and_pairs_equal_all_pairs(self):
+        mixed = {"field": "complex", "ambient_dim": 3, "subspaces": [
+            {"id": "a", "vectors": [[1.5, [0, 2], -0.0], [[1, -1], 2, 3]]},
+            {"id": "b", "vectors": [[2 ** 53 + 1, 0, [-0.0, 1]]]}]}
+        pairs = {"field": "complex", "ambient_dim": 3, "subspaces": [
+            {"id": "a", "vectors": [[[1.5, 0], [0, 2], [-0.0, 0]],
+                                    [[1, -1], [2, 0], [3, 0]]]},
+            {"id": "b", "vectors": [[[2 ** 53 + 1, 0], [0, 0], [-0.0, 1]]]}]}
+        for item in mixed["subspaces"]:
+            assert _array_columns(item["vectors"], 3, Field.COMPLEX) is None
+        parsed_pairs = parse_subspace_file(json.dumps(pairs))
+        assert_bases_identical(parsed_pairs, per_scalar_bases(pairs))
+        assert_bases_identical(parse_subspace_file(json.dumps(mixed)),
+                               parsed_pairs.subspaces)
 
 
 class TestAnglesCommand:
@@ -285,6 +422,14 @@ class TestMatrixCommand:
         values = np.array(json.loads(capsys.readouterr().out)["values"])
         np.testing.assert_allclose(values, [[0, math.pi / 3],
                                             [math.pi / 2, 0]], atol=1e-9)
+
+    def test_huge_integer_exit_2(self, tmp_path, capsys):
+        # a 400-digit integer does not fit a double
+        path = write_file(tmp_path, {
+            "field": "real", "ambient_dim": 2,
+            "subspaces": [{"id": "a", "vectors": [[10 ** 400, 1]]}]})
+        assert main(["matrix", path, "--metric", "geodesic"]) == 2
+        assert "does not fit a double" in capsys.readouterr().err
 
     def test_unknown_metric_exit_2(self, containment_file, capsys):
         assert main(["matrix", containment_file, "--metric", "banana"]) == 2
