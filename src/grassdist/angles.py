@@ -10,8 +10,9 @@
 Each angle is computed by three independent routes that cross-validate
 each other: products over principal angles (default, robust for any n),
 Gram determinants (also available for arbitrary, non-orthonormal bases),
-and exterior algebra (contraction / wedge / regressive norms; the test
-oracle, capped at small ambient dimension).
+and sums of squared Plücker coordinates in a basis adapted to W (the
+exterior route, which reads the norms of the contraction, wedge and
+regressive products of blades; capped at small ambient dimension).
 
 On the principal route Theta *is* the asymmetric Fubini-Study extension.
 No derivation takes arccos or arcsin of a product or sets a value to zero;
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError
-from .exterior import blade_from_basis, contraction, regressive, wedge
+from .exterior import blade_from_basis, plucker_angles, plucker_sums
 from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
-from .subspace import (Subspace, _check_pair, complete_basis, principal_angles,
+from .subspace import (Subspace, _check_pair, principal_angles,
                        principal_decomposition, project_onto, underlying_real)
 
 
@@ -47,6 +48,10 @@ class AngleRoute(enum.Enum):
 _CONDITION_BAND = 1e-6
 
 _FUBINI_STUDY = METRICS["fubini_study"]  # Theta, by the paper's construction
+
+# The Gram route's Psi enumerates C(q, n - p) determinants, one at a time;
+# at n = 20 that is at most C(19, 9) = 92,378.
+GRAM_PSI_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +101,10 @@ def cos2_theta_from_gram(v_columns, w_columns, field: Field) -> float:
     """cos^2 Theta from arbitrary bases:
     ``det(conj(C).T @ inv(B) @ C) / det(A)`` with A, B the Gram matrices of
     the two column sets and C the cross-Gram matrix."""
-    v, w, a, b, c, det_a = _gram_blocks(v_columns, w_columns, field)
+    return _cos2_theta(*_gram_blocks(v_columns, w_columns, field))
+
+
+def _cos2_theta(v, w, a, b, c, det_a) -> float:
     if v.shape[1] == 0:
         return 1.0
     if v.shape[1] > w.shape[1]:
@@ -110,7 +118,10 @@ def cos2_theta_from_gram(v_columns, w_columns, field: Field) -> float:
 
 def sin2_upsilon_from_gram(v_columns, w_columns, field: Field) -> float:
     """sin^2 Upsilon from arbitrary bases: ``det(A - conj(C).T inv(B) C) / det(A)``."""
-    v, w, a, b, c, det_a = _gram_blocks(v_columns, w_columns, field)
+    return _sin2_upsilon(*_gram_blocks(v_columns, w_columns, field))
+
+
+def _sin2_upsilon(v, w, a, b, c, det_a) -> float:
     if v.shape[1] == 0:
         return 1.0
     if v.shape[1] + w.shape[1] > v.shape[0]:
@@ -125,14 +136,17 @@ def sin2_psi_from_gram(v_columns, w_orthonormal_columns, field: Field) -> float:
     ``(1 / det A) * sum_i |det [v_1 .. v_p  w_{i_1} .. w_{i_{n-p}}]|^2``.
     Returns 0 directly when p + q < n.  Columns are scaled to unit norm
     first, so the w-columns need only be mutually orthogonal."""
-    v, w, a, b, _, det_a = _gram_blocks(v_columns, w_orthonormal_columns, field)
+    return _sin2_psi(*_gram_blocks(v_columns, w_orthonormal_columns, field))
+
+
+def _sin2_psi(v, w, a, b, c, det_a) -> float:
     n = v.shape[0]
     p, q = v.shape[1], w.shape[1]
     if q and float(np.max(np.abs(b - np.eye(q)))) > 1e-9:
         raise DimensionError("the determinant-sum route needs an orthonormal w-basis")
-    if n > 20:
-        raise DimensionError("the determinant-sum route enumerates "
-                             "binomial(q, n - p) minors; capped at ambient 20")
+    if n > GRAM_PSI_CAP:
+        raise DimensionError("the determinant-sum route enumerates binomial(q, n - p) "
+                             f"minors; capped at ambient {GRAM_PSI_CAP}")
     if p + q < n:
         return 0.0
     if p == n or q == n:
@@ -144,36 +158,36 @@ def sin2_psi_from_gram(v_columns, w_orthonormal_columns, field: Field) -> float:
     return clamp_cosine(total / det_a)
 
 
+def _gram_angles(v: Subspace, w: Subspace) -> tuple[float, float, float]:
+    """Theta(V, W), Upsilon and Psi on the Gram route, from one build of the
+    Gram blocks; Psi raises above ``GRAM_PSI_CAP``."""
+    blocks = _gram_blocks(v.basis, w.basis, v.field)
+    return (math.acos(math.sqrt(_cos2_theta(*blocks))),
+            math.asin(math.sqrt(_sin2_upsilon(*blocks))),
+            math.asin(math.sqrt(_sin2_psi(*blocks))))
+
+
 # ---------------------------------------------------------------------------
 # The asymmetric angle Theta.
 # ---------------------------------------------------------------------------
-
-def _exterior_angle(a, b, product, arc) -> float:
-    """``arc`` of the norm of ``product(a, b)`` over the norms of the blades
-    ``a`` and ``b``: one angle on the exterior route."""
-    return arc(clamp_cosine(product(a, b).norm() / (a.norm() * b.norm())))
-
-
-def _blades(v: Subspace, w: Subspace):
-    return blade_from_basis(v.basis, v.field), blade_from_basis(w.basis, w.field)
-
 
 def asymmetric_angle(v: Subspace, w: Subspace,
                      route: AngleRoute = AngleRoute.PRINCIPAL) -> float:
     """Asymmetric angle Theta(V, W) in [0, pi/2].
 
     Routes: the Fubini-Study extension of the principal angles; Gram
-    determinant; norm of the left contraction of representing blades.  All
-    give pi/2 whenever dim V > dim W and 0 for V = {0}.  The oracle routes
-    agree with the first down to about 7.7e-8: they take acos of a ratio
-    that :func:`clamp_cosine` snaps to 1 within 3e-15, so they read 0 below
-    that.  ``verify`` compares routes on the squared scale.
+    determinant; the left contraction of representing blades, read as sums
+    of squared Plücker coordinates.  All give pi/2 whenever dim V > dim W
+    and 0 for V = {0}.  The Gram route agrees with the others only down to
+    about 7.7e-8: it takes acos of a ratio that :func:`clamp_cosine` snaps
+    to 1 within 3e-15, so it reads 0 below that.  ``verify`` compares
+    routes on the squared scale.
     """
     _check_pair(v, w)
     if route is AngleRoute.GRAM:
         return math.acos(math.sqrt(cos2_theta_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
-        return _exterior_angle(*_blades(v, w), contraction, math.acos)
+        return plucker_angles(v, w)[0]
     return asymmetric_distance(_FUBINI_STUDY, v, w).value
 
 
@@ -219,7 +233,7 @@ def disjointness_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.GRAM:
         return math.asin(math.sqrt(sin2_upsilon_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
-        return _exterior_angle(*_blades(v, w), wedge, math.asin)
+        return plucker_angles(v, w)[1]
     return _sine_product_angle(principal_angles(v, w))
 
 
@@ -253,18 +267,13 @@ def supplementation_angle(v: Subspace, w: Subspace,
     if route is AngleRoute.GRAM:
         return math.asin(math.sqrt(sin2_psi_from_gram(v.basis, w.basis, v.field)))
     if route is AngleRoute.EXTERIOR:
-        return _exterior_angle(*_blades(v, w), regressive, math.asin)
+        return plucker_angles(v, w)[2]
     return _psi_principal(v, w, principal_angles(v, w), tol)
 
 
 # ---------------------------------------------------------------------------
 # Identities exposed as checkable operations.
 # ---------------------------------------------------------------------------
-
-def _cos_theta_orthonormal(e: np.ndarray, f: np.ndarray) -> float:
-    """|det(f^H e)| = cos Theta for equal-dimension orthonormal bases."""
-    return clamp_cosine(abs(np.linalg.det(f.conj().T @ e)))
-
 
 def pythagorean_sum(v: Subspace, basis_vectors) -> float:
     """Sum of cos^2 Theta(V, [w_i]) over all coordinate p-subspaces of an
@@ -277,29 +286,26 @@ def pythagorean_sum(v: Subspace, basis_vectors) -> float:
         raise DimensionError(f"expected an ambient basis of shape {(n, n)}")
     if np.max(np.abs(basis.conj().T @ basis - np.eye(n))) > 1e-9:
         raise DimensionError("ambient basis must be orthonormal")
-    total = 0.0
-    for combo in itertools.combinations(range(n), v.dim):
-        total += _cos_theta_orthonormal(v.basis, basis[:, combo]) ** 2
-    return total
+    # cos^2 Theta(V, [w_i]) = |det(w_i^H V)|^2, a squared Plücker coordinate
+    # of V in the basis
+    plucker = blade_from_basis(basis.conj().T @ v.basis, v.field)
+    return float(np.sum(np.abs(plucker) ** 2))
 
 
 def sine_identity_sum(v: Subspace, w: Subspace) -> tuple[float, float]:
     """Both sides of the sine identity
     ``sin^2 Theta(V, W) = sum over p-multi-indices not inside 1..q of
-    cos^2 Theta(V, [f_i])``, the f's extending a principal basis of W to
-    an orthonormal basis of the ambient space."""
+    cos^2 Theta(V, [f_i])``, the f's extending an orthonormal basis of W
+    to one of the ambient space (any such basis gives the same sum).  The
+    sum is the exterior route's sine side; the other side is Binet-Cauchy
+    squared, from the principal angles."""
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("sine identity requires nonzero subspaces")
-    pd = principal_decomposition(v, w)
-    full = complete_basis(pd.right_basis)
-    p, q, n = v.dim, w.dim, v.ambient_dim
-    total = 0.0
-    for combo in itertools.combinations(range(n), p):
-        if combo[-1] < q:  # all indices inside the 1..q block: skip
-            continue
-        total += _cos_theta_orthonormal(v.basis, full[:, combo]) ** 2
-    return total, extension_from_angles(METRICS["binet_cauchy"], pd.angles, p, q).value ** 2
+    (sin2_theta, _), _, _ = plucker_sums(v, w)
+    bc = extension_from_angles(METRICS["binet_cauchy"], principal_angles(v, w),
+                               v.dim, w.dim)
+    return sin2_theta, bc.value ** 2
 
 
 def spherical_pythagorean_check(v: Subspace, w: Subspace, w_sub: Subspace,

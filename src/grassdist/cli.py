@@ -6,8 +6,9 @@ Subcommands:
 * ``matrix``  - pairwise distance matrix under a named metric (row->column).
 * ``verify``  - identity suites on a file or the built-in example corpus.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 numerical degeneracy.
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error (an
+unreadable input or unwritable ``--output`` included), 3 numerical
+degeneracy.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ def cmd_matrix(args) -> int:
     values = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
-            if i == j and args.metric in DIAGNOSTICS and subs[i].dim == 0:
-                values[i, j] = 0.0
-                continue
             values[i, j] = _matrix_entry(args.metric, subs[i], subs[j], tol)
     if args.symmetrize != "none":
         sym = np.zeros_like(values)
@@ -203,8 +201,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (SubspaceFileError, FileNotFoundError, DimensionError,
+    except (SubspaceFileError, OSError, DimensionError,
             DegenerateBasisError) as exc:
+        # an OSError from opening a file names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalDegeneracyError as exc:

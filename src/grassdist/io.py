@@ -154,7 +154,11 @@ def parse_subspace_file(text: str, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile
 
 def load_subspace_file(path, tol: Tolerance = DEFAULT_TOL) -> SubspaceFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_subspace_file(fh.read(), tol)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SubspaceFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_subspace_file(text, tol)
 
 
 def _encode_scalar(x, field: Field):

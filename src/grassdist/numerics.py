@@ -57,7 +57,8 @@ CLAMP_SLACK = 1e-8
 
 # Ratios this close to 1 (a dozen ulp) are roundoff residue of an exactly-unit
 # value; arccos/arcsin amplify them into ~1e-8 of angle, so clamp_cosine snaps
-# them in the kernel and the Gram and exterior routes (no derivation reads it).
+# them in the kernel and on the Gram route.  No derivation reads it, nor the
+# exterior route, which takes atan2 of two sums.
 _UNIT_SNAP = 3e-15
 
 

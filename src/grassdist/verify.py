@@ -3,7 +3,10 @@
 Runs golden-value checks (built-in corpus only), the Pythagorean and sine
 identities, three-route agreement, perpendicular duality and oriented
 triangle-inequality sampling over a set of subspaces, and reports one
-result line per check.
+result line per check.  A leg that enumerates subsets runs only up to its
+ambient cap and says in its detail line when it was left out: the two
+identities and the exterior route up to ``AMBIENT_CAP``, the Gram route
+up to ``GRAM_PSI_CAP``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .angles import (AngleRoute, _exterior_angle, angle_report, asymmetric_angle,
+from .angles import (GRAM_PSI_CAP, _gram_angles, angle_report, asymmetric_angle,
                      disjointness_angle, pythagorean_sum, sine_identity_sum,
                      supplementation_angle)
 from .errors import NumericalDegeneracyError
-from .exterior import AMBIENT_CAP, blade_from_basis, contraction, regressive, wedge
+from .exterior import AMBIENT_CAP, plucker_angles
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
 from .subspace import orthogonal_complement, principal_angles, random_subspace
@@ -39,19 +42,14 @@ class CheckResult:
     worst: float = 0.0
 
 
-def _gram_angles(v, w):
-    """Theta, Upsilon and Psi on the Gram route."""
-    route = AngleRoute.GRAM
-    return (asymmetric_angle(v, w, route), disjointness_angle(v, w, route),
-            supplementation_angle(v, w, route))
+def _ambient(pairs) -> int:
+    return max((v.ambient_dim for _, v in pairs), default=0)
 
 
-def _exterior_angles(a, b):
-    """Theta, Upsilon and Psi on the exterior route, from a blade of each
-    subspace."""
-    return (_exterior_angle(a, b, contraction, math.acos),
-            _exterior_angle(a, b, wedge, math.asin),
-            _exterior_angle(a, b, regressive, math.asin))
+def _left_out(name: str, n: int) -> CheckResult:
+    """A subset-enumerating identity check taken out above ``AMBIENT_CAP``."""
+    return CheckResult(name, True, f"left out at ambient {n}: it enumerates "
+                       f"subsets, capped at ambient {AMBIENT_CAP}")
 
 
 def _check_golden(tol: Tolerance) -> CheckResult:
@@ -77,6 +75,8 @@ def _check_golden(tol: Tolerance) -> CheckResult:
 
 
 def _check_pythagorean(pairs, tol: Tolerance) -> CheckResult:
+    if _ambient(pairs) > AMBIENT_CAP:
+        return _left_out("pythagorean_identity", _ambient(pairs))
     worst = 0.0
     for _, v in pairs:
         if v.dim == 0:
@@ -89,6 +89,8 @@ def _check_pythagorean(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
+    if _ambient(pairs) > AMBIENT_CAP:
+        return _left_out("sine_identity", _ambient(pairs))
     worst = 0.0
     for (_, v), (_, w) in itertools.permutations(pairs, 2):
         if v.dim == 0 or w.dim == 0:
@@ -100,20 +102,19 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_routes(pairs, tol: Tolerance) -> CheckResult:
-    routes = ["principal", "gram"]
-    blades = []
-    if max((v.ambient_dim for _, v in pairs), default=0) <= AMBIENT_CAP:
-        routes.append("exterior")
-        # one blade per subspace; every exterior angle of every pair is a
-        # product of two of them
-        blades = [blade_from_basis(v.basis, v.field) for _, v in pairs]
+    # each oracle route has a leg that enumerates subsets, so it runs only
+    # up to its cap
+    oracles = {"gram": (_gram_angles, GRAM_PSI_CAP),
+               "exterior": (plucker_angles, AMBIENT_CAP)}
+    n = _ambient(pairs)
+    routes = ["principal"] + [r for r, (_, cap) in oracles.items() if n <= cap]
+    left_out = "".join(f"; {r} left out above ambient {cap}"
+                       for r, (_, cap) in oracles.items() if n > cap)
     worst, culprit = 0.0, "none"
-    for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
+    for (vid, v), (wid, w) in itertools.permutations(pairs, 2):
         report = angle_report(v, w, tol=tol)
-        per_route = [(report.theta_vw, report.upsilon, report.psi),
-                     _gram_angles(v, w)]
-        if blades:
-            per_route.append(_exterior_angles(blades[i], blades[j]))
+        per_route = [(report.theta_vw, report.upsilon, report.psi)]
+        per_route += [oracles[r][0](v, w) for r in routes[1:]]
         # compare on the squared cosine/sine scale, which every route
         # produces natively; the angle scale loses half the precision near
         # 0 and pi/2
@@ -125,8 +126,9 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
                     worst = abs(x - y)
                     culprit = f"{quantity} {vid}->{wid}, {ra} vs {rb}"
     return CheckResult("route_agreement", worst <= max(tol.angle_tol, 1e-8),
-                       f"{len(routes)} routes, max spread = {worst:.3e} ({culprit})",
-                       worst)
+                       f"{len(routes)} route{'s' * (len(routes) > 1)}, "
+                       f"max spread = {worst:.3e} "
+                       f"({culprit}){left_out}", worst)
 
 
 def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:

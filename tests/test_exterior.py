@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from grassdist import corpus
 from grassdist.errors import DimensionError
-from grassdist.exterior import (AMBIENT_CAP, Multivector,
-                                blade_from_basis, contraction, mv_inner,
-                                perm_sign, regressive, star, wedge)
+from grassdist.exterior import AMBIENT_CAP
 from grassdist.numerics import Field
+
+from exterior_algebra import (Multivector, blade_from_basis, contraction,
+                              mv_inner, perm_sign, regressive, star, wedge)
 
 R = Field.REAL
 C = Field.COMPLEX

@@ -454,6 +454,37 @@ class TestMatrixCommand:
             np.testing.assert_allclose(values, values.T, atol=1e-9)
 
 
+    @pytest.mark.parametrize("metric", ["max_correlation", "martin"])
+    def test_diagnostics_exit_2_on_any_file_holding_zero(self, tmp_path, capsys,
+                                                          metric):
+        # the diagnostics are undefined when either side is {0}; the rule is
+        # the same for every entry, the {0} diagonal entry included
+        path = write_file(tmp_path, {"field": "real", "ambient_dim": 2,
+                                     "subspaces": [{"id": "z", "vectors": []}]})
+        assert main(["matrix", path, "--metric", metric]) == 2
+        assert "diagnostics require nonzero subspaces" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """Every failure to read the input or write ``--output`` exits 2 and
+    names the path, with no traceback."""
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert main(["matrix", str(tmp_path), "--metric", "geodesic"]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_input_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["verify", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_output_is_a_directory(self, containment_file, tmp_path, capsys):
+        assert main(["matrix", containment_file, "--metric", "geodesic",
+                     "--output", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_builtin_corpus_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from grassdist.errors import DimensionError
-from grassdist.exterior import (Multivector, blade_from_basis, contraction,
-                                perm_sign, regressive, wedge)
 from grassdist.numerics import Field
 
 from conftest import random_matrix
+from exterior_algebra import (Multivector, blade_from_basis, contraction,
+                              perm_sign, regressive, wedge)
 
 R = Field.REAL
 

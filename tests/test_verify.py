@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from grassdist import corpus, verify
 from grassdist.angles import (AngleRoute, asymmetric_angle, disjointness_angle,
                               supplementation_angle)
+from grassdist.cli import main
 from grassdist.metrics import METRICS, asymmetric_distance
 from grassdist.numerics import DEFAULT_TOL, Field
 from grassdist.subspace import random_subspace
@@ -26,25 +29,35 @@ def route_quantities(v, w, route):
             math.sin(supplementation_angle(v, w, route)) ** 2)
 
 
-def test_route_check_builds_one_blade_per_subspace(monkeypatch):
-    import grassdist.angles as angles_mod
+def counting(monkeypatch, module, name):
+    """Count the calls to ``module.name``; returns the list they append to."""
     calls = []
+    original = getattr(module, name)
 
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-        return wrapper
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-    for module in (verify, angles_mod):
-        original = getattr(module, "blade_from_basis", None)
-        if original is not None:
-            monkeypatch.setattr(module, "blade_from_basis", counted(original))
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_route_check_takes_one_readout_per_ordered_pair(monkeypatch):
+    from grassdist import exterior
+    calls = counting(monkeypatch, exterior, "plucker_sums")
     pairs = r8_pairs()
     result = verify._check_routes(pairs, DEFAULT_TOL)
     assert result.passed
     assert result.detail.startswith("3 routes")
-    assert len(calls) == len(pairs)
+    assert len(calls) == len(pairs) * (len(pairs) - 1)
+
+
+def test_route_check_builds_the_gram_blocks_once_per_ordered_pair(monkeypatch):
+    import grassdist.angles as angles_mod
+    calls = counting(monkeypatch, angles_mod, "_gram_blocks")
+    pairs = r8_pairs()
+    assert verify._check_routes(pairs, DEFAULT_TOL).passed
+    assert len(calls) == len(pairs) * (len(pairs) - 1)
 
 
 def test_route_check_names_its_worst_pair_and_quantity():
@@ -109,3 +122,38 @@ def test_route_check_runs_the_exterior_route_up_to_its_cap(ambient, routes):
     result = verify._check_routes(pairs, DEFAULT_TOL)
     assert result.detail.startswith(routes), result.detail
     assert result.passed
+
+
+def verify_file(tmp_path, ambient, dims):
+    """A ``verify`` input of random subspaces of R^ambient, one per dim."""
+    rng = np.random.default_rng(ambient)
+    doc = {"field": "real", "ambient_dim": ambient,
+           "subspaces": [{"id": f"v{i}",
+                          "vectors": rng.standard_normal((d, ambient)).tolist()}
+                         for i, d in enumerate(dims)]}
+    path = tmp_path / f"r{ambient}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("ambient, dims, routes_left_out", [
+    (16, (1, 2, 9, 15), ("exterior",)),
+    (21, (1, 2, 2, 3), ("gram", "exterior")),
+    (30, (1, 5, 14, 29, 29), ("gram", "exterior")),
+])
+def test_verify_leaves_out_each_enumerating_leg_above_its_cap(tmp_path, capsys, ambient,
+                                                               dims, routes_left_out):
+    # the Gram route's Psi is capped at ambient 20, the exterior route and
+    # the two identities at AMBIENT_CAP (14); above its cap a leg is left
+    # out and the detail line says so, so verify neither exits 2 at ambient
+    # 21 nor enumerates the C(30, 14) subsets of the Pythagorean sum at 30
+    assert main(["verify", verify_file(tmp_path, ambient, dims)]) == 0
+    checks = [ln.strip() for ln in capsys.readouterr().out.splitlines()
+              if ln.strip().startswith("[")]
+    assert len(checks) == 5 and all(ln.startswith("[pass]") for ln in checks)
+    line = {ln.split(":")[0].split("] ")[1]: ln for ln in checks}
+    for name in ("pythagorean_identity", "sine_identity"):
+        assert f"left out at ambient {ambient}" in line[name]
+    for route in ("gram", "exterior"):
+        left_out = f"{route} left out above ambient" in line["route_agreement"]
+        assert left_out == (route in routes_left_out)
