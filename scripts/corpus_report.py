@@ -7,10 +7,8 @@ Usage:
 
 import math
 
-from grassdist.angles import (AngleRoute, asymmetric_angle, disjointness_angle,
-                              supplementation_angle)
+from grassdist.angles import AngleRoute, angle_report
 from grassdist.corpus import corpus
-from grassdist.subspace import principal_angles
 
 ROUTES = [AngleRoute.PRINCIPAL, AngleRoute.GRAM, AngleRoute.EXTERIOR]
 
@@ -26,18 +24,19 @@ def main():
     print(header)
     print("-" * len(header))
     for g in corpus():
+        reports = [angle_report(g.v, g.w, route) for route in ROUTES]
         spread = 0.0
-        for fn in (asymmetric_angle, disjointness_angle, supplementation_angle):
-            vals = [fn(g.v, g.w, route) for route in ROUTES]
+        for key in ("theta_vw", "upsilon", "psi"):
+            vals = [getattr(rep, key) for rep in reports]
             spread = max(spread, max(vals) - min(vals))
-        theta = ", ".join(f"{math.degrees(t):.1f}"
-                          for t in principal_angles(g.v, g.w))
+        rep = reports[0]
+        theta = ", ".join(f"{math.degrees(t):.1f}" for t in rep.principal_angles)
         print(f"{g.name:<26}{g.v.dim}/{g.w.dim}/{g.v.ambient_dim:>2}   "
               f"{theta:<20}"
-              f"{deg(asymmetric_angle(g.v, g.w)):>9}"
-              f"{deg(asymmetric_angle(g.w, g.v)):>10}"
-              f"{deg(disjointness_angle(g.v, g.w)):>9}"
-              f"{deg(supplementation_angle(g.v, g.w)):>9}"
+              f"{deg(rep.theta_vw):>9}"
+              f"{deg(rep.theta_wv):>10}"
+              f"{deg(rep.upsilon):>9}"
+              f"{deg(rep.psi):>9}"
               f"{spread:>14.2e}")
 
 

@@ -7,12 +7,14 @@
 * supplementation angle Psi(V, W) = pi/2 - Theta(V^perp, W): zero unless
   V + W is the whole space; symmetric.
 
-Each angle is computed by three independent routes that cross-validate
-each other: products over principal angles (default, robust for any n),
-Gram determinants (also available for arbitrary, non-orthonormal bases),
-and sums of squared Plücker coordinates in a basis adapted to W (the
-exterior route, which reads the norms of the contraction, wedge and
-regressive products of blades; capped at small ambient dimension).
+The standalone functions take the default route, products over principal
+angles (robust for any n).  Two independent oracles cross-validate it, one
+readout of (Theta(V, W), Upsilon, Psi) each in ``ORACLES``: Gram
+determinants, and sums of squared Plücker coordinates in a basis adapted to
+W (the exterior route, which reads the norms of the contraction, wedge and
+regressive products of blades; capped at small ambient dimension).  A route
+is chosen only through ``angle_report(v, w, route)``; the ``*_from_gram``
+functions take the Gram route on raw, non-orthonormal bases.
 
 On the principal route Theta *is* the asymmetric Fubini-Study extension.
 No derivation takes arccos or arcsin of a product or sets a value to zero;
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError
-from .exterior import blade_from_basis, plucker_angles, plucker_sums
+from .exterior import AMBIENT_CAP, blade_from_basis, plucker_angles, plucker_sums
 from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
@@ -160,34 +162,31 @@ def _sin2_psi(v, w, a, b, c, det_a) -> float:
 
 def _gram_angles(v: Subspace, w: Subspace) -> tuple[float, float, float]:
     """Theta(V, W), Upsilon and Psi on the Gram route, from one build of the
-    Gram blocks; Psi raises above ``GRAM_PSI_CAP``."""
+    Gram blocks; Psi raises above ``GRAM_PSI_CAP``.  Theta agrees with the
+    other routes only down to about 7.7e-8: it takes acos of a ratio that
+    :func:`clamp_cosine` snaps to 1 within 3e-15, so it reads 0 below that.
+    ``verify`` compares routes on the squared scale."""
     blocks = _gram_blocks(v.basis, w.basis, v.field)
     return (math.acos(math.sqrt(_cos2_theta(*blocks))),
             math.asin(math.sqrt(_sin2_upsilon(*blocks))),
             math.asin(math.sqrt(_sin2_psi(*blocks))))
 
 
+# Each oracle route: its readout of (Theta(V, W), Upsilon, Psi) and the
+# ambient cap of the leg that enumerates subsets.
+ORACLES = {AngleRoute.GRAM: (_gram_angles, GRAM_PSI_CAP),
+           AngleRoute.EXTERIOR: (plucker_angles, AMBIENT_CAP)}
+
+
 # ---------------------------------------------------------------------------
 # The asymmetric angle Theta.
 # ---------------------------------------------------------------------------
 
-def asymmetric_angle(v: Subspace, w: Subspace,
-                     route: AngleRoute = AngleRoute.PRINCIPAL) -> float:
-    """Asymmetric angle Theta(V, W) in [0, pi/2].
-
-    Routes: the Fubini-Study extension of the principal angles; Gram
-    determinant; the left contraction of representing blades, read as sums
-    of squared Plücker coordinates.  All give pi/2 whenever dim V > dim W
-    and 0 for V = {0}.  The Gram route agrees with the others only down to
-    about 7.7e-8: it takes acos of a ratio that :func:`clamp_cosine` snaps
-    to 1 within 3e-15, so it reads 0 below that.  ``verify`` compares
-    routes on the squared scale.
+def asymmetric_angle(v: Subspace, w: Subspace) -> float:
+    """Asymmetric angle Theta(V, W) in [0, pi/2]: the Fubini-Study
+    extension of the principal angles; pi/2 whenever dim V > dim W and 0
+    for V = {0}.  The oracle routes are read through :func:`angle_report`.
     """
-    _check_pair(v, w)
-    if route is AngleRoute.GRAM:
-        return math.acos(math.sqrt(cos2_theta_from_gram(v.basis, w.basis, v.field)))
-    if route is AngleRoute.EXTERIOR:
-        return plucker_angles(v, w)[0]
     return asymmetric_distance(_FUBINI_STUDY, v, w).value
 
 
@@ -220,20 +219,13 @@ def _sine_product_angle(theta: np.ndarray) -> float:
     return math.atan2(*product_and_complement(np.sin(theta), np.cos(theta)))
 
 
-def disjointness_angle(v: Subspace, w: Subspace,
-                       route: AngleRoute = AngleRoute.PRINCIPAL) -> float:
+def disjointness_angle(v: Subspace, w: Subspace) -> float:
     """Disjointness angle Upsilon(V, W) = pi/2 - Theta(V, W^perp).
 
     Zero exactly when V and W intersect nontrivially, pi/2 exactly when
     V is orthogonal to W; symmetric in its arguments.  sin Upsilon is the
-    product of principal-angle sines / a Gram determinant / the norm of
-    the wedge of representing blades, by route.
+    product of the principal-angle sines.
     """
-    _check_pair(v, w)
-    if route is AngleRoute.GRAM:
-        return math.asin(math.sqrt(sin2_upsilon_from_gram(v.basis, w.basis, v.field)))
-    if route is AngleRoute.EXTERIOR:
-        return plucker_angles(v, w)[1]
     return _sine_product_angle(principal_angles(v, w))
 
 
@@ -253,21 +245,13 @@ def _psi_principal(v: Subspace, w: Subspace, theta: np.ndarray,
 
 
 def supplementation_angle(v: Subspace, w: Subspace,
-                          route: AngleRoute = AngleRoute.PRINCIPAL,
                           tol: Tolerance = DEFAULT_TOL) -> float:
     """Supplementation angle Psi(V, W) = pi/2 - Theta(V^perp, W).
 
     Zero exactly when V + W falls short of the whole space; symmetric.
-    The principal route is the case analysis on r = dim(V & W) (sines of
-    the nonzero principal angles); the Gram route is the determinant sum
-    over coordinate completions; the exterior route is the norm of the
-    regressive product of representing blades.
+    The case analysis on r = dim(V & W): the sines of the nonzero
+    principal angles.
     """
-    _check_pair(v, w)
-    if route is AngleRoute.GRAM:
-        return math.asin(math.sqrt(sin2_psi_from_gram(v.basis, w.basis, v.field)))
-    if route is AngleRoute.EXTERIOR:
-        return plucker_angles(v, w)[2]
     return _psi_principal(v, w, principal_angles(v, w), tol)
 
 
@@ -382,7 +366,8 @@ def angle_report(v: Subspace, w: Subspace,
 
     On the principal route the angles are computed once and every value is
     derived from them exactly as the standalone functions derive it, so
-    the report equals those functions bit for bit.
+    the report equals those functions bit for bit.  An oracle route takes
+    its ``ORACLES`` readout in both directions.
     """
     _check_pair(v, w)
     theta = principal_angles(v, w)
@@ -393,10 +378,9 @@ def angle_report(v: Subspace, w: Subspace,
                   _sine_product_angle(theta),
                   _psi_principal(v, w, theta, tol))
     else:
-        values = (asymmetric_angle(v, w, route),
-                  asymmetric_angle(w, v, route),
-                  disjointness_angle(v, w, route),
-                  supplementation_angle(v, w, route, tol))
+        readout = ORACLES[route][0]
+        theta_vw, upsilon, psi = readout(v, w)
+        values = (theta_vw, readout(w, v)[0], upsilon, psi)
     return AngleReport(
         *values,
         principal_angles=tuple(float(t) for t in theta),

@@ -36,9 +36,6 @@ EXIT_DEGENERATE = 3
 _EXTRA_DISTANCES = ("containment_gap", "gap", "directional", "symmetric")
 _ALL_MATRIX_METRICS = tuple(METRICS) + _EXTRA_DISTANCES + DIAGNOSTICS
 
-_ROUTES = {"principal": AngleRoute.PRINCIPAL, "gram": AngleRoute.GRAM,
-           "exterior": AngleRoute.EXTERIOR}
-
 
 def _tolerance(args) -> Tolerance:
     return Tolerance(rank_tol=args.rank_tol, angle_tol=args.angle_tol)
@@ -69,7 +66,7 @@ def cmd_angles(args) -> int:
         print(f"error: no subspace with id {exc.args[0]!r} in {args.input}",
               file=sys.stderr)
         return EXIT_USAGE
-    report = angle_report(v, w, _ROUTES[args.route], tol)
+    report = angle_report(v, w, AngleRoute(args.route), tol)
     p, q, n = report.dims
     print(f"pair: {args.id_from} -> {args.id_to}   "
           f"(field={sfile.field.value}, ambient={n}, dims p={p} q={q})")
@@ -115,11 +112,7 @@ def cmd_matrix(args) -> int:
         for j in range(k):
             values[i, j] = _matrix_entry(args.metric, subs[i], subs[j], tol)
     if args.symmetrize != "none":
-        sym = np.zeros_like(values)
-        for i in range(k):
-            for j in range(k):
-                sym[i, j] = symmetrize(values[i, j], values[j, i], args.symmetrize)
-        values = sym
+        values = symmetrize(values, values.T, args.symmetrize)
     units = METRICS[args.metric].units if args.metric in METRICS else "dimensionless"
     out = DistanceMatrixOutput(metric=args.metric, ids=ids, values=values,
                                units=units)
@@ -170,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_angles.add_argument("input", help="subspace file (JSON)")
     p_angles.add_argument("id_from")
     p_angles.add_argument("id_to")
-    p_angles.add_argument("--route", choices=sorted(_ROUTES), default="principal")
+    p_angles.add_argument("--route", choices=sorted(r.value for r in AngleRoute),
+                          default="principal")
     add_tol(p_angles)
     p_angles.set_defaults(func=cmd_angles)
 

@@ -152,8 +152,11 @@ def containment_gap(v: Subspace, w: Subspace) -> float:
 
 def gap(v: Subspace, w: Subspace) -> float:
     """Symmetrized containment gap; equals the operator norm of the
-    projector difference, and is 1 whenever the dimensions differ."""
-    return max(containment_gap(v, w), containment_gap(w, v))
+    projector difference, and is 1 whenever the dimensions differ.  With
+    equal dimensions the kernel is symmetric bit for bit, so one direction
+    is the gap."""
+    _check_pair(v, w)
+    return containment_gap(v, w) if v.dim == w.dim else 1.0
 
 
 def directional_distance(v: Subspace, w: Subspace) -> float:
@@ -195,12 +198,14 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
     return {"max_correlation": float(np.sin(theta[0])), "martin": martin}
 
 
-def symmetrize(d_fwd: float, d_bwd: float, mode: str) -> float:
-    """max or mean symmetrization of a forward/backward distance pair."""
-    if d_fwd < 0 or d_bwd < 0:
+def symmetrize(d_fwd: float | np.ndarray, d_bwd: float | np.ndarray,
+               mode: str) -> float | np.ndarray:
+    """max or mean symmetrization of forward/backward distances, elementwise:
+    two floats, or a distance matrix and its transpose."""
+    if np.any(d_fwd < 0) or np.any(d_bwd < 0):
         raise ValueError("distances must be nonnegative")
     if mode == "max":
-        return max(d_fwd, d_bwd)
+        return np.maximum(d_fwd, d_bwd)
     if mode == "mean":
         return (d_fwd + d_bwd) / 2
     raise ValueError(f"unknown symmetrization mode {mode!r}")

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .angles import (GRAM_PSI_CAP, _gram_angles, angle_report, asymmetric_angle,
+from .angles import (ORACLES, AngleRoute, angle_report, asymmetric_angle,
                      disjointness_angle, pythagorean_sum, sine_identity_sum,
                      supplementation_angle)
 from .errors import NumericalDegeneracyError
-from .exterior import AMBIENT_CAP, plucker_angles
+from .exterior import AMBIENT_CAP
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
 from .subspace import orthogonal_complement, principal_angles, random_subspace
@@ -104,17 +104,16 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
 def _check_routes(pairs, tol: Tolerance) -> CheckResult:
     # each oracle route has a leg that enumerates subsets, so it runs only
     # up to its cap
-    oracles = {"gram": (_gram_angles, GRAM_PSI_CAP),
-               "exterior": (plucker_angles, AMBIENT_CAP)}
     n = _ambient(pairs)
-    routes = ["principal"] + [r for r, (_, cap) in oracles.items() if n <= cap]
-    left_out = "".join(f"; {r} left out above ambient {cap}"
-                       for r, (_, cap) in oracles.items() if n > cap)
+    routes = [AngleRoute.PRINCIPAL] + [r for r, (_, cap) in ORACLES.items()
+                                       if n <= cap]
+    left_out = "".join(f"; {r.value} left out above ambient {cap}"
+                       for r, (_, cap) in ORACLES.items() if n > cap)
     worst, culprit = 0.0, "none"
     for (vid, v), (wid, w) in itertools.permutations(pairs, 2):
         report = angle_report(v, w, tol=tol)
         per_route = [(report.theta_vw, report.upsilon, report.psi)]
-        per_route += [oracles[r][0](v, w) for r in routes[1:]]
+        per_route += [ORACLES[r][0](v, w) for r in routes[1:]]
         # compare on the squared cosine/sine scale, which every route
         # produces natively; the angle scale loses half the precision near
         # 0 and pi/2
@@ -124,7 +123,7 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
             for quantity, x, y in zip(_QUANTITIES, a, b):
                 if abs(x - y) > worst:
                     worst = abs(x - y)
-                    culprit = f"{quantity} {vid}->{wid}, {ra} vs {rb}"
+                    culprit = f"{quantity} {vid}->{wid}, {ra.value} vs {rb.value}"
     return CheckResult("route_agreement", worst <= max(tol.angle_tol, 1e-8),
                        f"{len(routes)} route{'s' * (len(routes) > 1)}, "
                        f"max spread = {worst:.3e} "

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from grassdist import corpus
-from grassdist.angles import (AngleRoute, asymmetric_angle, disjointness_angle,
-                              orthogonal_partition_check, pythagorean_sum,
-                              real_complex_relation_check, sine_identity_sum,
-                              spherical_pythagorean_check, supplementation_angle)
+from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
+                              disjointness_angle, orthogonal_partition_check,
+                              pythagorean_sum, real_complex_relation_check,
+                              sine_identity_sum, spherical_pythagorean_check,
+                              supplementation_angle)
 from grassdist.cli import main
 from grassdist.metrics import (METRICS, asymmetric_distance, containment_gap,
                                equal_dim_distance, extension_from_angles,
@@ -255,12 +256,12 @@ def test_criterion_4_route_equivalence():
     worst = 0.0
     for field, seed in [(Field.REAL, 21), (Field.COMPLEX, 22)]:
         for v, w in _route_pairs(500, field, seed):
-            for fn in (asymmetric_angle, disjointness_angle,
-                       supplementation_angle):
-                vals = [fn(v, w, route) for route in ROUTES]
+            reports = [angle_report(v, w, route) for route in ROUTES]
+            for key in ("theta_vw", "upsilon", "psi"):
+                vals = [getattr(rep, key) for rep in reports]
                 spread = max(vals) - min(vals)
                 worst = max(worst, spread)
-                assert spread <= 1e-8, fn.__name__
+                assert spread <= 1e-8, key
     report("criterion 4 (route equivalence)", True,
            f"1000 pairs, n <= 7, both fields; max spread {worst:.2e}")
 

@@ -35,11 +35,12 @@ class TestGoldenCorpus:
     @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.value)
     def test_all_golden_values(self, route):
         for g in corpus.corpus():
+            rep = angle_report(g.v, g.w, route)
             checks = [
-                (g.theta_vw, asymmetric_angle(g.v, g.w, route)),
-                (g.theta_wv, asymmetric_angle(g.w, g.v, route)),
-                (g.upsilon, disjointness_angle(g.v, g.w, route)),
-                (g.psi, supplementation_angle(g.v, g.w, route)),
+                (g.theta_vw, rep.theta_vw),
+                (g.theta_wv, rep.theta_wv),
+                (g.upsilon, rep.upsilon),
+                (g.psi, rep.psi),
             ]
             for want, got in checks:
                 if want is not None:
@@ -104,13 +105,13 @@ class TestConventions:
         z = Subspace.zero(4, field)
         v = random_subspace(4, 2, field, 1)
         x = Subspace.full(4, field)
-        assert asymmetric_angle(z, v, route) == pytest.approx(0)
-        assert asymmetric_angle(v, z, route) == pytest.approx(math.pi / 2)
-        assert asymmetric_angle(z, z, route) == pytest.approx(0)
-        assert disjointness_angle(z, v, route) == pytest.approx(math.pi / 2)
-        assert disjointness_angle(v, z, route) == pytest.approx(math.pi / 2)
-        assert supplementation_angle(v, x, route) == pytest.approx(math.pi / 2)
-        assert supplementation_angle(z, v, route) == pytest.approx(0)
+        assert angle_report(z, v, route).theta_vw == pytest.approx(0)
+        assert angle_report(v, z, route).theta_vw == pytest.approx(math.pi / 2)
+        assert angle_report(z, z, route).theta_vw == pytest.approx(0)
+        assert angle_report(z, v, route).upsilon == pytest.approx(math.pi / 2)
+        assert angle_report(v, z, route).upsilon == pytest.approx(math.pi / 2)
+        assert angle_report(v, x, route).psi == pytest.approx(math.pi / 2)
+        assert angle_report(z, v, route).psi == pytest.approx(0)
 
     def test_equal_subspaces(self, field):
         v = random_subspace(5, 3, field, 2)
@@ -200,9 +201,10 @@ class TestRouteAgreement:
             q = int(rng.integers(0, n + 1))
             v = random_subspace(n, p, field, 1000 + seed)
             w = random_subspace(n, q, field, 2000 + seed)
-            for fn in (asymmetric_angle, disjointness_angle, supplementation_angle):
-                vals = [fn(v, w, route) for route in ROUTES]
-                assert max(vals) - min(vals) < 1e-8, (fn.__name__, n, p, q)
+            reports = [angle_report(v, w, route) for route in ROUTES]
+            for key in ("theta_vw", "upsilon", "psi"):
+                vals = [getattr(rep, key) for rep in reports]
+                assert max(vals) - min(vals) < 1e-8, (key, n, p, q)
 
 
 class TestProjectionFactor:

@@ -1,8 +1,9 @@
-"""The public API: which callables take a ``Tolerance``."""
+"""The public API: which callables take a ``Tolerance`` or a route."""
 
 import inspect
 
-from grassdist import angles, io, metrics, subspace, verify
+from grassdist import (angles, cli, corpus, exterior, io, metrics, numerics,
+                       subspace, verify)
 
 # Every public function or method with a ``tol`` parameter makes a decision
 # with it: a rank, a containment or intersection, Psi's r and its fragile
@@ -41,3 +42,14 @@ def test_only_decisions_take_a_tolerance():
               for name, fn in _public_callables(module)
               if "tol" in inspect.signature(fn).parameters}
     assert takers == TOLERANCE_READERS
+
+
+def test_only_angle_report_takes_a_route():
+    # the standalone angles are the default route; an oracle route is read
+    # through the report, one readout per direction
+    takers = {name
+              for module in (subspace, angles, metrics, io, verify, exterior,
+                             numerics, corpus, cli)
+              for name, fn in _public_callables(module)
+              if "route" in inspect.signature(fn).parameters}
+    assert takers == {"angles.angle_report"}

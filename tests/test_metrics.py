@@ -160,6 +160,23 @@ class TestFullGrassmannianDistances:
         v = random_subspace(5, 2, field, 8)
         assert gap(v, v) == pytest.approx(0, abs=1e-8)
 
+    def test_gap_takes_one_kernel_call(self, monkeypatch, field):
+        import grassdist.metrics as metrics_mod
+        kernel = metrics_mod.principal_angles
+        calls = []
+        monkeypatch.setattr(metrics_mod, "principal_angles",
+                            lambda v, w: calls.append(1) or kernel(v, w))
+        subs = [random_subspace(5, d, field, 60 + d) for d in range(6)]
+        subs.append(random_subspace(5, 2, field, 70))
+        for v in subs:
+            for w in subs:
+                want = max(containment_gap(v, w), containment_gap(w, v))
+                calls.clear()
+                assert gap(v, w) == want
+                assert len(calls) == (0 < v.dim == w.dim)
+        with pytest.raises(DimensionError):
+            gap(subs[1], random_subspace(4, 2, field, 1))
+
     def test_directional_distance(self, rng, field):
         w = random_subspace(6, 4, field, 9)
         v = Subspace(6, field, w.basis[:, :2])
@@ -254,6 +271,16 @@ class TestSymmetrize:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             symmetrize(1, 1, "min")
+
+    def test_matrix_and_its_transpose(self):
+        d = np.array([[0.0, 0.3, 1.0], [0.5, 0.0, math.inf], [0.2, 0.4, 0.0]])
+        for mode in ("max", "mean"):
+            want = [[symmetrize(d[i, j], d[j, i], mode) for j in range(3)]
+                    for i in range(3)]
+            assert symmetrize(d, d.T, mode).tolist() == want
+        d[0, 2] = -0.1
+        with pytest.raises(ValueError):
+            symmetrize(d, d.T, "max")
 
 
 class TestEqualityTriple:

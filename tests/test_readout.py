@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from grassdist import (AngleRoute, Field, Subspace, asymmetric_angle,
-                       disjointness_angle, random_subspace,
+from grassdist import (AngleRoute, Field, Subspace, angle_report,
+                       asymmetric_angle, disjointness_angle, random_subspace,
                        supplementation_angle)
 from grassdist.exterior import plucker_sums
 
@@ -15,7 +15,9 @@ from exterior_algebra import blade_from_basis, contraction, regressive, wedge
 
 R = Field.REAL
 EXTERIOR = AngleRoute.EXTERIOR
-ANGLES = (asymmetric_angle, disjointness_angle, supplementation_angle)
+# each default-route angle and the report field that holds it on a route
+ANGLES = {asymmetric_angle: "theta_vw", disjointness_angle: "upsilon",
+          supplementation_angle: "psi"}
 
 
 def turned(angles, n):
@@ -39,20 +41,20 @@ def test_tiny_principal_angles_keep_their_relative_accuracy():
     v, w = coordinate(2, 6), turned([1e-8, 2e-8], 6)
     want = asymmetric_angle(v, w)
     assert want == pytest.approx(math.sqrt(5) * 1e-8, rel=1e-14)
-    assert asymmetric_angle(v, w, EXTERIOR) == pytest.approx(want, rel=1e-14)
+    assert angle_report(v, w, EXTERIOR).theta_vw == pytest.approx(want, rel=1e-14)
 
 
 def test_tiny_angle_between_lines():
     v, w = coordinate(1, 3), turned([5e-8], 3)
     want = asymmetric_angle(v, w)
     assert want == pytest.approx(5e-8, rel=1e-14)
-    assert asymmetric_angle(v, w, EXTERIOR) == pytest.approx(want, rel=1e-14)
+    assert angle_report(v, w, EXTERIOR).theta_vw == pytest.approx(want, rel=1e-14)
 
 
 def test_upsilon_just_short_of_a_right_angle():
     # lines at pi/2 - 1e-8: an asin of a sine snapped to 1 would read pi/2
     v, w = coordinate(1, 3), turned([math.pi / 2 - 1e-8], 3)
-    got = disjointness_angle(v, w, EXTERIOR)
+    got = angle_report(v, w, EXTERIOR).upsilon
     assert got == disjointness_angle(v, w)
     assert math.pi / 2 - got == pytest.approx(1e-8, rel=1e-7)
 
@@ -69,8 +71,9 @@ def random_pairs(rng, field, count):
 
 def test_agrees_with_the_default_route(rng, field):
     for v, w in random_pairs(rng, field, 300):
-        for angle in ANGLES:
-            assert abs(angle(v, w, EXTERIOR) - angle(v, w)) <= 1e-14
+        for angle, key in ANGLES.items():
+            got = getattr(angle_report(v, w, EXTERIOR), key)
+            assert abs(got - angle(v, w)) <= 1e-14
 
 
 def test_sums_are_the_norms_of_the_blade_products(rng, field):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from grassdist import corpus, verify
-from grassdist.angles import (AngleRoute, asymmetric_angle, disjointness_angle,
-                              supplementation_angle)
+from grassdist.angles import AngleRoute, angle_report
 from grassdist.cli import main
 from grassdist.metrics import METRICS, asymmetric_distance
 from grassdist.numerics import DEFAULT_TOL, Field
@@ -24,9 +23,10 @@ def r8_pairs(seed=7):
 
 
 def route_quantities(v, w, route):
-    return (math.cos(asymmetric_angle(v, w, route)) ** 2,
-            math.sin(disjointness_angle(v, w, route)) ** 2,
-            math.sin(supplementation_angle(v, w, route)) ** 2)
+    rep = angle_report(v, w, route)
+    return (math.cos(rep.theta_vw) ** 2,
+            math.sin(rep.upsilon) ** 2,
+            math.sin(rep.psi) ** 2)
 
 
 def counting(monkeypatch, module, name):
@@ -58,6 +58,20 @@ def test_route_check_builds_the_gram_blocks_once_per_ordered_pair(monkeypatch):
     pairs = r8_pairs()
     assert verify._check_routes(pairs, DEFAULT_TOL).passed
     assert len(calls) == len(pairs) * (len(pairs) - 1)
+
+
+@pytest.mark.parametrize("route, module, name", [
+    (AngleRoute.EXTERIOR, "exterior", "plucker_sums"),
+    (AngleRoute.GRAM, "angles", "_gram_blocks"),
+], ids=["exterior", "gram"])
+def test_an_oracle_report_takes_one_readout_per_direction(monkeypatch, route,
+                                                          module, name):
+    import importlib
+    calls = counting(monkeypatch, importlib.import_module(f"grassdist.{module}"),
+                     name)
+    (_, v), (_, w) = r8_pairs()[1:3]
+    angle_report(v, w, route)
+    assert len(calls) == 2
 
 
 def test_route_check_names_its_worst_pair_and_quantity():
