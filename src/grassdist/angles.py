@@ -24,14 +24,14 @@ only decisions read ``angle_tol``: Psi's dim(V & W) and the fragile band.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError
-from .exterior import AMBIENT_CAP, blade_from_basis, plucker_angles, plucker_sums
+from .exterior import (AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles,
+                       plucker_sums)
 from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
@@ -51,9 +51,14 @@ _CONDITION_BAND = 1e-6
 
 _FUBINI_STUDY = METRICS["fubini_study"]  # Theta, by the paper's construction
 
-# The Gram route's Psi enumerates C(q, n - p) determinants, one at a time;
-# at n = 20 that is at most C(19, 9) = 92,378.
+# The Gram route's Psi enumerates C(q, n - p) determinants; at n = 20 that
+# is at most C(19, 9) = 92,378.
 GRAM_PSI_CAP = 20
+
+# Psi batches its determinants in chunks of at most 64 MB of n x n matrices:
+# at GRAM_PSI_CAP all 92,378 complex 20 x 20 would take 591 MB at once, and
+# a chunk of 10,485 of them still amortizes the per-call cost of the det.
+_PSI_CHUNK_BYTES = 64 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +158,16 @@ def _sin2_psi(v, w, a, b, c, det_a) -> float:
         return 0.0
     if p == n or q == n:
         return 1.0  # one side is the whole space: supplementary by fiat
+    subsets = _subsets(q, n - p)
+    step = max(1, _PSI_CHUNK_BYTES // (n * n * v.itemsize))
     total = 0.0
-    for rows in itertools.combinations(range(q), n - p):
-        m = np.concatenate([v, w[:, rows]], axis=1)
-        total += abs(np.linalg.det(m)) ** 2
+    for start in range(0, len(subsets), step):
+        rows = subsets[start:start + step]
+        # [v | w[:, rows]] for every subset of the chunk, stacked
+        m = np.concatenate([np.broadcast_to(v, (len(rows), n, p)),
+                            w[:, rows].transpose(1, 0, 2)], axis=2)
+        for d in np.linalg.det(m):
+            total += abs(d) ** 2  # one term at a time, in subset order
     return clamp_cosine(total / det_a)
 
 
@@ -339,6 +350,16 @@ def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
 # Combined report.
 # ---------------------------------------------------------------------------
 
+def _principal_values(v: Subspace, w: Subspace, theta: np.ndarray,
+                      tol: Tolerance) -> tuple[float, float, float, float]:
+    """Theta(V, W), Theta(W, V), Upsilon and Psi from the principal angles
+    ``theta``, exactly as the standalone functions derive them."""
+    return (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim).value,
+            extension_from_angles(_FUBINI_STUDY, theta, w.dim, v.dim).value,
+            _sine_product_angle(theta),
+            _psi_principal(v, w, theta, tol))
+
+
 @dataclass(frozen=True)
 class AngleReport:
     """Every angle of a pair in one place (radians).
@@ -373,10 +394,7 @@ def angle_report(v: Subspace, w: Subspace,
     theta = principal_angles(v, w)
     fragile = bool(np.any((theta >= tol.angle_tol) & (theta < _CONDITION_BAND)))
     if route is AngleRoute.PRINCIPAL:
-        values = (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim).value,
-                  extension_from_angles(_FUBINI_STUDY, theta, w.dim, v.dim).value,
-                  _sine_product_angle(theta),
-                  _psi_principal(v, w, theta, tol))
+        values = _principal_values(v, w, theta, tol)
     else:
         readout = ORACLES[route][0]
         theta_vw, upsilon, psi = readout(v, w)

@@ -66,5 +66,9 @@ def plucker_sums(v: Subspace, w: Subspace) -> tuple[tuple[float, float], ...]:
 def plucker_angles(v: Subspace, w: Subspace) -> tuple[float, float, float]:
     """Theta(V, W), Upsilon(V, W) and Psi(V, W) on the exterior route, each
     ``atan2(sqrt(sin^2), sqrt(cos^2))`` of :func:`plucker_sums`."""
-    return tuple(math.atan2(math.sqrt(s), math.sqrt(c))
-                 for s, c in plucker_sums(v, w))
+    return _angles_from_sums(plucker_sums(v, w))
+
+
+def _angles_from_sums(sums) -> tuple[float, float, float]:
+    """The three angles of a :func:`plucker_sums` readout."""
+    return tuple(math.atan2(math.sqrt(s), math.sqrt(c)) for s, c in sums)

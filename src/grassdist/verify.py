@@ -3,10 +3,14 @@
 Runs golden-value checks (built-in corpus only), the Pythagorean and sine
 identities, three-route agreement, perpendicular duality and oriented
 triangle-inequality sampling over a set of subspaces, and reports one
-result line per check.  A leg that enumerates subsets runs only up to its
-ambient cap and says in its detail line when it was left out: the two
-identities and the exterior route up to ``AMBIENT_CAP``, the Gram route
-up to ``GRAM_PSI_CAP``.
+result line per check, naming the pair (or subspace) behind its worst
+residual.  A leg that enumerates subsets runs only up to its ambient cap
+and says in its detail line when it was left out: the two identities and
+the exterior route up to ``AMBIENT_CAP``, the Gram route up to
+``GRAM_PSI_CAP``.
+
+The checks of one call share a pair table (``_PairTable``) of principal
+angles and Plücker sums; nothing in it outlives the call.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .angles import (ORACLES, AngleRoute, angle_report, asymmetric_angle,
-                     disjointness_angle, pythagorean_sum, sine_identity_sum,
-                     supplementation_angle)
+from . import exterior
+from .angles import (ORACLES, AngleRoute, _principal_values, angle_report,
+                     pythagorean_sum)
 from .errors import NumericalDegeneracyError
-from .exterior import AMBIENT_CAP
+from .exterior import AMBIENT_CAP, _angles_from_sums
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
 from .subspace import orthogonal_complement, principal_angles, random_subspace
@@ -42,6 +46,37 @@ class CheckResult:
     worst: float = 0.0
 
 
+class _PairTable(list):
+    """The (id, Subspace) pairs of one call and, computed on first use, the
+    principal angles per unordered pair (the kernel is symmetric bit for
+    bit) and the Plücker sums per ordered pair.  A computation that raises
+    is not stored, so every check that needs that pair fails on it."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self._angles, self._sums = {}, {}
+
+    @classmethod
+    def of(cls, pairs) -> _PairTable:
+        return pairs if isinstance(pairs, cls) else cls(pairs)
+
+    def angles(self, i: int, j: int) -> np.ndarray:
+        i, j = min(i, j), max(i, j)
+        if (i, j) not in self._angles:
+            self._angles[i, j] = principal_angles(self[i][1], self[j][1])
+        return self._angles[i, j]
+
+    def plucker(self, i: int, j: int) -> tuple:
+        if (i, j) not in self._sums:
+            self._sums[i, j] = exterior.plucker_sums(self[i][1], self[j][1])
+        return self._sums[i, j]
+
+    def theta(self, i: int, j: int) -> float:
+        """Theta(V_i, V_j), as ``asymmetric_angle`` derives it."""
+        return extension_from_angles(METRICS["fubini_study"], self.angles(i, j),
+                                     self[i][1].dim, self[j][1].dim).value
+
+
 def _ambient(pairs) -> int:
     return max((v.ambient_dim for _, v in pairs), default=0)
 
@@ -56,17 +91,12 @@ def _check_golden(tol: Tolerance) -> CheckResult:
     worst = 0.0
     culprit = ""
     for g in corpus_mod.corpus():
-        computed = {
-            "theta_vw": asymmetric_angle(g.v, g.w),
-            "theta_wv": asymmetric_angle(g.w, g.v),
-            "upsilon": disjointness_angle(g.v, g.w),
-            "psi": supplementation_angle(g.v, g.w, tol=tol),
-        }
-        for key, got in computed.items():
+        report = angle_report(g.v, g.w, tol=tol)
+        for key in ("theta_vw", "theta_wv", "upsilon", "psi"):
             want = getattr(g, key)
             if want is None:
                 continue
-            err = abs(got - want)
+            err = abs(getattr(report, key) - want)
             if err > worst:
                 worst, culprit = err, f"{g.name}.{key}"
     passed = worst <= tol.angle_tol
@@ -77,43 +107,51 @@ def _check_golden(tol: Tolerance) -> CheckResult:
 def _check_pythagorean(pairs, tol: Tolerance) -> CheckResult:
     if _ambient(pairs) > AMBIENT_CAP:
         return _left_out("pythagorean_identity", _ambient(pairs))
-    worst = 0.0
-    for _, v in pairs:
+    worst, culprit = 0.0, "none"
+    for vid, v in pairs:
         if v.dim == 0:
             continue
         basis = np.eye(v.ambient_dim, dtype=v.field.dtype)
-        total = pythagorean_sum(v, basis)
-        worst = max(worst, abs(total - 1.0))
+        err = abs(pythagorean_sum(v, basis) - 1.0)
+        if err > worst:
+            worst, culprit = err, vid
     return CheckResult("pythagorean_identity", worst <= tol.angle_tol,
-                       f"max |sum - 1| = {worst:.3e}", worst)
+                       f"max |sum - 1| = {worst:.3e} ({culprit})", worst)
 
 
 def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
     if _ambient(pairs) > AMBIENT_CAP:
         return _left_out("sine_identity", _ambient(pairs))
-    worst = 0.0
-    for (_, v), (_, w) in itertools.permutations(pairs, 2):
+    pairs = _PairTable.of(pairs)
+    worst, culprit = 0.0, "none"
+    for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
         if v.dim == 0 or w.dim == 0:
             continue
-        lhs, rhs = sine_identity_sum(v, w)
-        worst = max(worst, abs(lhs - rhs))
+        lhs = pairs.plucker(i, j)[0][0]
+        rhs = extension_from_angles(METRICS["binet_cauchy"], pairs.angles(i, j),
+                                    v.dim, w.dim).value ** 2
+        if abs(lhs - rhs) > worst:
+            worst, culprit = abs(lhs - rhs), f"{vid}->{wid}"
     return CheckResult("sine_identity", worst <= tol.angle_tol,
-                       f"max |sum - sin^2| = {worst:.3e}", worst)
+                       f"max |sum - sin^2| = {worst:.3e} ({culprit})", worst)
 
 
 def _check_routes(pairs, tol: Tolerance) -> CheckResult:
     # each oracle route has a leg that enumerates subsets, so it runs only
     # up to its cap
+    pairs = _PairTable.of(pairs)
     n = _ambient(pairs)
     routes = [AngleRoute.PRINCIPAL] + [r for r, (_, cap) in ORACLES.items()
                                        if n <= cap]
     left_out = "".join(f"; {r.value} left out above ambient {cap}"
                        for r, (_, cap) in ORACLES.items() if n > cap)
     worst, culprit = 0.0, "none"
-    for (vid, v), (wid, w) in itertools.permutations(pairs, 2):
-        report = angle_report(v, w, tol=tol)
-        per_route = [(report.theta_vw, report.upsilon, report.psi)]
-        per_route += [ORACLES[r][0](v, w) for r in routes[1:]]
+    for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
+        theta_vw, _, upsilon, psi = _principal_values(v, w, pairs.angles(i, j), tol)
+        per_route = [(theta_vw, upsilon, psi)]
+        per_route += [_angles_from_sums(pairs.plucker(i, j))
+                      if r is AngleRoute.EXTERIOR else ORACLES[r][0](v, w)
+                      for r in routes[1:]]
         # compare on the squared cosine/sine scale, which every route
         # produces natively; the angle scale loses half the precision near
         # 0 and pi/2
@@ -131,17 +169,19 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
-    perps = [orthogonal_complement(v) for _, v in pairs]
-    worst = 0.0
-    for (i, (_, v)), (j, (_, w)) in itertools.permutations(enumerate(pairs), 2):
-        lhs = asymmetric_angle(perps[i], perps[j])
-        rhs = asymmetric_angle(w, v)
-        worst = max(worst, abs(lhs - rhs))
+    pairs = _PairTable.of(pairs)
+    perps = _PairTable([(vid, orthogonal_complement(v)) for vid, v in pairs])
+    worst, culprit = 0.0, "none"
+    for (i, (vid, _)), (j, (wid, _)) in itertools.permutations(enumerate(pairs), 2):
+        err = abs(perps.theta(i, j) - pairs.theta(j, i))
+        if err > worst:
+            worst, culprit = err, f"{vid}->{wid}"
     return CheckResult("perp_duality", worst <= tol.angle_tol,
-                       f"max |Theta(Vp,Wp) - Theta(W,V)| = {worst:.3e}", worst)
+                       f"max |Theta(Vp,Wp) - Theta(W,V)| = {worst:.3e} ({culprit})", worst)
 
 
 def _check_triangle(pairs, seed: int) -> CheckResult:
+    pairs = _PairTable.of(pairs)
     ids = [name for name, _ in pairs]
     subs = [s for _, s in pairs]
     k = len(subs)
@@ -151,20 +191,14 @@ def _check_triangle(pairs, seed: int) -> CheckResult:
         picks = rng.choice(len(triples), size=_TRIANGLE_CAP, replace=False)
         triples = [triples[i] for i in picks]
     u, v, w = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    # the ordered pairs the triples read, with the principal angles of each
-    # unordered pair taken once; each metric is then one k x k matrix, and
-    # every triple three lookups in it
+    # the ordered pairs the triples read; each metric is then one k x k
+    # matrix, and every triple three lookups in it
     needed = {pair for i, j, l in triples for pair in ((i, l), (i, j), (j, l))}
-    angles = {}
-    for a, b in needed:
-        key = (min(a, b), max(a, b))
-        if key not in angles:
-            angles[key] = principal_angles(subs[key[0]], subs[key[1]])
     worst, culprit = 0.0, "none"
     for name, desc in METRICS.items():
         d = np.zeros((k, k))
         for a, b in needed:
-            d[a, b] = extension_from_angles(desc, angles[min(a, b), max(a, b)],
+            d[a, b] = extension_from_angles(desc, pairs.angles(a, b),
                                             subs[a].dim, subs[b].dim).value
         violation = d[u, w] - d[u, v] - d[v, w]
         if violation.size and violation.max() > worst:
@@ -204,7 +238,7 @@ def run_verification(pairs=None, tol: Tolerance = DEFAULT_TOL,
         for group in groups.values():
             _merge(results, _run_identity_checks(group, tol, seed))
     else:
-        _merge(results, _run_identity_checks(list(pairs), tol, seed))
+        _merge(results, _run_identity_checks(pairs, tol, seed))
     return results
 
 
@@ -220,6 +254,7 @@ def _guarded(name: str, fn, *args) -> CheckResult:
 
 
 def _run_identity_checks(pairs, tol: Tolerance, seed: int) -> list[CheckResult]:
+    pairs = _PairTable(pairs)
     return [
         _guarded("pythagorean_identity", _check_pythagorean, pairs, tol),
         _guarded("sine_identity", _check_sine_identity, pairs, tol),

@@ -15,7 +15,7 @@ from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
                               supplementation_angle)
 from grassdist.errors import DegenerateBasisError, DimensionError
 from grassdist.metrics import asymmetric_distance
-from grassdist.numerics import DEFAULT_TOL, Field, Tolerance
+from grassdist.numerics import DEFAULT_TOL, Field, Tolerance, clamp_cosine
 from grassdist.subspace import (Subspace, direct_sum, orthogonal_complement,
                                 principal_angles, random_subspace,
                                 random_unitary, sum_subspace)
@@ -68,6 +68,24 @@ class TestGoldenCorpus:
         assert s2 == pytest.approx(2 / 3, abs=1e-12)
         s2 = sin2_psi_from_gram(corpus.R4_PLANES_V, corpus.R4_PLANES_W, R)
         assert s2 == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3072, None],
+                             ids=["one-per-chunk", "few-per-chunk", "default"])
+    def test_psi_gram_route_sums_its_minors_in_order_in_any_chunk_size(
+            self, monkeypatch, field, chunk_bytes):
+        # n = 8, p = 4, q = 7: C(7, 4) = 35 minors, batched in chunks; the
+        # sum takes them one at a time in subset order, as a loop would
+        import grassdist.angles as angles_mod
+        v = random_subspace(8, 4, field, 3).basis
+        w = random_subspace(8, 7, field, 4).basis
+        unit_v, unit_w, *_, det_a = angles_mod._gram_blocks(v, w, field)
+        total = 0.0
+        for rows in itertools.combinations(range(7), 4):
+            m = np.concatenate([unit_v, unit_w[:, rows]], axis=1)
+            total += abs(np.linalg.det(m)) ** 2
+        if chunk_bytes is not None:
+            monkeypatch.setattr(angles_mod, "_PSI_CHUNK_BYTES", chunk_bytes)
+        assert sin2_psi_from_gram(v, w, field) == clamp_cosine(total / det_a)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1e80, 1e300])

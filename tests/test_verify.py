@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -171,3 +172,119 @@ def test_verify_leaves_out_each_enumerating_leg_above_its_cap(tmp_path, capsys, 
     for route in ("gram", "exterior"):
         left_out = f"{route} left out above ambient" in line["route_agreement"]
         assert left_out == (route in routes_left_out)
+
+
+def counting_everywhere(monkeypatch, module, name, before=None):
+    """Count the calls to ``module.name`` at every grassdist module that
+    binds it; each call appends its positional arguments to the returned
+    list (keeping them alive, so their ids stay distinct) after
+    ``before(*args)`` runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if before is not None:
+            before(*args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "grassdist":
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def unordered(calls):
+    return [frozenset((id(v), id(w))) for v, w in calls]
+
+
+def test_verify_takes_the_principal_angles_once_per_unordered_pair(monkeypatch):
+    from grassdist import subspace
+    calls = counting_everywhere(monkeypatch, subspace, "principal_angles")
+    results = verify.run_verification(r8_pairs(), DEFAULT_TOL, 1)
+    assert all(r.passed for r in results)
+    keys = unordered(calls)
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_verify_takes_one_plucker_readout_per_ordered_pair(monkeypatch):
+    from grassdist import exterior
+    calls = counting_everywhere(monkeypatch, exterior, "plucker_sums")
+    pairs = r8_pairs()
+    results = verify.run_verification(pairs, DEFAULT_TOL, 1)
+    assert all(r.passed for r in results)
+    # the sine identity and the exterior route read the same readout
+    assert len(calls) == len(pairs) * (len(pairs) - 1)
+
+
+def test_a_degenerate_pair_fails_every_check_that_reads_it_in_every_call(
+        monkeypatch):
+    from grassdist import subspace
+    from grassdist.errors import NumericalDegeneracyError
+    pairs = r8_pairs()
+    bad = frozenset((id(pairs[2][1]), id(pairs[5][1])))
+
+    def degenerate(v, w):
+        if frozenset((id(v), id(w))) == bad:
+            raise NumericalDegeneracyError("SVD did not converge")
+
+    calls = counting_everywhere(monkeypatch, subspace, "principal_angles",
+                                degenerate)
+    inputs = {id(s) for _, s in pairs}
+    read = []
+    for _ in range(2):
+        calls.clear()
+        results = verify.run_verification(pairs, DEFAULT_TOL, 1)
+        failed = {r.name for r in results if not r.passed}
+        assert failed == {"sine_identity", "route_agreement", "perp_duality",
+                          "triangle_inequality"}
+        assert all(r.detail.startswith("numerical degeneracy")
+                   for r in results if not r.passed)
+        # in each call the failed pair is tried again by each check that
+        # reads it, and every other pair is taken once
+        keys = unordered(calls)
+        assert keys.count(bad) == 4
+        others = [k for k in keys if k != bad]
+        assert len(others) == len(set(others))
+        read.append({k for k in keys if k <= inputs})
+    # nothing is kept from one call to the next
+    assert read[0] == read[1]
+
+
+def test_pythagorean_identity_names_its_worst_subspace():
+    from grassdist.angles import pythagorean_sum
+    pairs = r8_pairs()
+    result = verify._check_pythagorean(pairs, DEFAULT_TOL)
+    m = re.search(r"\((\S+)\)$", result.detail)
+    assert m, result.detail
+    errors = {vid: abs(pythagorean_sum(v, np.eye(8)) - 1.0) for vid, v in pairs}
+    assert errors[m.group(1)] == result.worst == max(errors.values())
+
+
+def test_sine_identity_names_its_worst_pair():
+    from grassdist.angles import sine_identity_sum
+    pairs = r8_pairs()
+    result = verify._check_sine_identity(pairs, DEFAULT_TOL)
+    m = re.search(r"\((\S+)->(\S+)\)$", result.detail)
+    assert m, result.detail
+    errors = {}
+    for (vid, v), (wid, w) in itertools.permutations(pairs, 2):
+        lhs, rhs = sine_identity_sum(v, w)
+        errors[vid, wid] = abs(lhs - rhs)
+    assert errors[m.groups()] == result.worst == max(errors.values())
+
+
+def test_perp_duality_names_its_worst_pair():
+    from grassdist.angles import asymmetric_angle
+    from grassdist.subspace import orthogonal_complement
+    pairs = r8_pairs()
+    result = verify._check_perp_duality(pairs, DEFAULT_TOL)
+    m = re.search(r"\((\S+)->(\S+)\)$", result.detail)
+    assert m, result.detail
+    errors = {}
+    for (vid, v), (wid, w) in itertools.permutations(pairs, 2):
+        lhs = asymmetric_angle(orthogonal_complement(v), orthogonal_complement(w))
+        errors[vid, wid] = abs(lhs - asymmetric_angle(w, v))
+    assert errors[m.groups()] == result.worst == max(errors.values())
