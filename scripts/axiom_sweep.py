@@ -18,13 +18,7 @@ import numpy as np
 
 from grassdist.metrics import METRICS, extension_from_angles
 from grassdist.numerics import Field
-from grassdist.subspace import principal_decomposition, random_subspace
-
-
-def pair_angles(a, b):
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return principal_decomposition(a, b).angles
+from grassdist.subspace import principal_angles, random_subspace
 
 
 def sweep(triples: int, ambient: int, field: Field, seed: int):
@@ -38,7 +32,7 @@ def sweep(triples: int, ambient: int, field: Field, seed: int):
                 for _ in range(3)]
         theta = {}
         for a, b in itertools.combinations(range(3), 2):
-            theta[a, b] = theta[b, a] = pair_angles(subs[a], subs[b])
+            theta[a, b] = theta[b, a] = principal_angles(subs[a], subs[b])
         for name, desc in METRICS.items():
             d = {(a, b): extension_from_angles(desc, theta[a, b],
                                                subs[a].dim, subs[b].dim).value

@@ -35,7 +35,7 @@ from .exterior import (AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles,
 from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
-from .subspace import (Subspace, _check_pair, principal_angles,
+from .subspace import (Subspace, _check_pair, complete_basis, principal_angles,
                        principal_decomposition, project_onto, underlying_real)
 
 
@@ -297,7 +297,7 @@ def sine_identity_sum(v: Subspace, w: Subspace) -> tuple[float, float]:
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("sine identity requires nonzero subspaces")
-    (sin2_theta, _), _, _ = plucker_sums(v, w)
+    (sin2_theta, _), _, _ = plucker_sums(v, complete_basis(w.basis), w.dim)
     bc = extension_from_angles(METRICS["binet_cauchy"], principal_angles(v, w),
                                v.dim, w.dim)
     return sin2_theta, bc.value ** 2

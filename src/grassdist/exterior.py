@@ -49,13 +49,13 @@ def blade_from_basis(columns, field: Field) -> np.ndarray:
     return np.linalg.det(cols[_subsets(n, p)])
 
 
-def plucker_sums(v: Subspace, w: Subspace) -> tuple[tuple[float, float], ...]:
+def plucker_sums(v: Subspace, f: np.ndarray, q: int) -> tuple[tuple[float, float], ...]:
     """(sin^2, cos^2) of Theta(V, W), Upsilon(V, W) and Psi(V, W), each as
     two complementary sums of the squared Plücker coordinates of V in the
-    basis ``complete_basis(w.basis)``."""
-    _check_pair(v, w)
-    n, p, q = v.ambient_dim, v.dim, w.dim
-    x = complete_basis(w.basis).conj().T @ v.basis
+    orthonormal ambient basis ``f`` whose first ``q`` columns span W, such
+    as ``complete_basis(w.basis)``."""
+    n, p = v.ambient_dim, v.dim
+    x = f.conj().T @ v.basis
     squares = np.abs(blade_from_basis(x, v.field)) ** 2
     outside_w = np.count_nonzero(_subsets(n, p) >= q, axis=1)
     sine_sides = (outside_w > 0, outside_w == p, outside_w == n - q)
@@ -66,7 +66,8 @@ def plucker_sums(v: Subspace, w: Subspace) -> tuple[tuple[float, float], ...]:
 def plucker_angles(v: Subspace, w: Subspace) -> tuple[float, float, float]:
     """Theta(V, W), Upsilon(V, W) and Psi(V, W) on the exterior route, each
     ``atan2(sqrt(sin^2), sqrt(cos^2))`` of :func:`plucker_sums`."""
-    return _angles_from_sums(plucker_sums(v, w))
+    _check_pair(v, w)
+    return _angles_from_sums(plucker_sums(v, complete_basis(w.basis), w.dim))
 
 
 def _angles_from_sums(sums) -> tuple[float, float, float]:

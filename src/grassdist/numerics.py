@@ -57,7 +57,8 @@ CLAMP_SLACK = 1e-8
 
 # Ratios this close to 1 (a dozen ulp) are roundoff residue of an exactly-unit
 # value; arccos/arcsin amplify them into ~1e-8 of angle, so clamp_cosine snaps
-# them in the kernel and on the Gram route.  No derivation reads it, nor the
+# them on the Gram route.  The kernel only raises through it: the values it
+# keeps never come within the snap of 1.  No derivation reads it, nor the
 # exterior route, which takes atan2 of two sums.
 _UNIT_SNAP = 3e-15
 
@@ -153,27 +154,20 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
     return u[:, :r]
 
 
-def clamp_cosine(x, slack: float = CLAMP_SLACK):
-    """Clamp computed cosines/sines into [0, 1], elementwise.
+def clamp_cosine(x) -> float:
+    """Clamp a computed cosine or sine into [0, 1], as a Python float.
 
-    A scalar gives a Python float, an array gives a float array of the same
-    shape.  A value exceeding 1 by more than ``slack`` raises, since that
+    A value exceeding 1 by more than ``CLAMP_SLACK`` raises, since that
     indicates a broken invariant rather than roundoff.  Values within a few
     ulp of 1 snap to exactly 1 and negative values floor at 0, so exact
     zero and right angles stay exact through arccos/arcsin.
     """
-    if np.ndim(x) == 0:
-        x = float(np.real(x))
-        if x > 1.0 + slack:
-            raise NumericalDegeneracyError(f"cosine/sine exceeds 1 beyond roundoff: {x!r}")
-        if x > 1.0 - _UNIT_SNAP:
-            return 1.0
-        return max(x, 0.0)
-    a = np.real(np.asarray(x)).astype(np.float64)
-    if np.any(a > 1.0 + slack):
-        raise NumericalDegeneracyError(
-            f"cosine/sine exceeds 1 beyond roundoff: {float(np.max(a))!r}")
-    return np.where(a > 1.0 - _UNIT_SNAP, 1.0, np.maximum(a, 0.0))
+    x = float(np.real(x))
+    if x > 1.0 + CLAMP_SLACK:
+        raise NumericalDegeneracyError(f"cosine/sine exceeds 1 beyond roundoff: {x!r}")
+    if x > 1.0 - _UNIT_SNAP:
+        return 1.0
+    return max(x, 0.0)
 
 
 def product_and_complement(factors, complements) -> tuple[float, float]:

@@ -10,7 +10,8 @@ Sci. Comput. 23(6), 2002): the cosines are the singular values of
 ``E^H F`` and, where some angle is below pi/4, the sines are those of the
 residual ``F - E E^H F``.  The sine route resolves angles far below the
 ~1e-8 floor of ``arccos``, so counting angles below ``angle_tol`` really
-does recover ``dim(V & W)``.  :func:`principal_decomposition` also forms
+does recover ``dim(V & W)``.  It is the only code that computes principal
+angles: :func:`principal_decomposition` takes its angles from it and adds
 the principal bases, for the few callers that need vectors.
 """
 
@@ -123,9 +124,9 @@ def _check_pair(v: Subspace, w: Subspace) -> None:
 class PrincipalDecomposition:
     """Principal angles and associated principal bases for a pair (V, W).
 
-    ``angles`` is nondecreasing, of length min(dim V, dim W); the bases are
-    full orthonormal bases of V and W with ``<e_i, f_j> = 0`` for i != j and
-    ``<e_i, f_i> = cos(angles[i])`` real and nonnegative.
+    ``angles`` is :func:`principal_angles` of the pair, as Psi reads it; the
+    bases are full orthonormal bases of V and W with ``<e_i, f_j> = 0`` for
+    i != j and ``<e_i, f_i> = cos(angles[i])`` real and nonnegative.
     """
 
     angles: np.ndarray
@@ -137,34 +138,19 @@ class PrincipalDecomposition:
 
 
 def principal_decomposition(v: Subspace, w: Subspace) -> PrincipalDecomposition:
-    """Principal decomposition via SVD of the cross-Gram matrix.
+    """The angles of :func:`principal_angles` and the principal bases from
+    one full SVD of the cross-Gram matrix ``E^H F``, whose singular vectors
+    come in descending-cosine, so ascending-angle, order.
 
     Both subspaces must be nonzero; callers apply the {0} conventions
-    before calling.  Angles below pi/4 are recomputed from projection
-    residual norms (sines), which are accurate where arccos of a singular
-    value is not.
+    before calling.
     """
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("principal decomposition requires nonzero subspaces")
     e, f = v.basis, w.basis
-    m = min(v.dim, w.dim)
-    u, s, vh = np.linalg.svd(e.conj().T @ f, full_matrices=True)
-    left = e @ u
-    right = f @ vh.conj().T
-    sigma = clamp_cosine(s[:m])
-    theta = np.arccos(sigma)
-    small = sigma > _SQRT_HALF  # angles below pi/4: switch to sine route
-    if np.any(small):
-        cols = right[:, :m][:, small]
-        resid = cols - e @ (e.conj().T @ cols)
-        theta[small] = np.arcsin(clamp_cosine(np.linalg.norm(resid, axis=0)))
-    order = np.argsort(theta, kind="stable")
-    if not np.array_equal(order, np.arange(m)):
-        theta = theta[order]
-        left = np.concatenate([left[:, order], left[:, m:]], axis=1)
-        right = np.concatenate([right[:, order], right[:, m:]], axis=1)
-    return PrincipalDecomposition(theta, left, right)
+    u, _, vh = np.linalg.svd(e.conj().T @ f, full_matrices=True)
+    return PrincipalDecomposition(principal_angles(v, w), e @ u, f @ vh.conj().T)
 
 
 def _larger_first(v: Subspace, w: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -185,19 +171,25 @@ def principal_angles(v: Subspace, w: Subspace) -> np.ndarray:
     the cosines are the singular values of ``C = E^H F``.  Only if some
     cosine exceeds sqrt(1/2) is a second SVD taken, of ``F - E C``, whose
     singular values (ascending) are the sines; those angles below pi/4 are
-    ``arcsin`` of their sine, the rest ``arccos`` of their cosine.  Both
-    value sets pass through :func:`clamp_cosine`.
+    ``arcsin`` of their sine, the rest ``arccos`` of their cosine.  The
+    largest cosine and sine are checked by :func:`clamp_cosine`.
     """
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         return np.zeros(0)
     e, f = _larger_first(v, w)
     c = e.conj().T @ f
-    cosines = clamp_cosine(singular_values(c))
-    theta = np.arccos(cosines)
+    # Only the largest values are checked; clamping all would change no angle
+    # kept.  Singular values are nonnegative, so the floor at 0 never acts; a
+    # cosine within the unit snap of 1 is above sqrt(1/2), so the sine branch
+    # replaces its angle; and every sine kept is below sqrt(1/2).
+    cosines = singular_values(c)
+    clamp_cosine(cosines[0])
+    theta = np.arccos(np.minimum(cosines, 1.0))
     small = cosines > _SQRT_HALF
-    if np.any(small):
-        sines = clamp_cosine(singular_values(f - e @ c))[::-1]
+    if small[0]:
+        sines = singular_values(f - e @ c)[::-1]
+        clamp_cosine(sines[-1])
         theta[small] = np.arcsin(sines[small])
     return np.sort(theta)
 
@@ -261,9 +253,8 @@ def complete_basis(columns: np.ndarray) -> np.ndarray:
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
-    """Orthogonal complement, dim = ambient - dim(v)."""
-    if v.dim == 0:
-        return Subspace.full(v.ambient_dim, v.field)
+    """Orthogonal complement, dim = ambient - dim(v): the trailing columns
+    of :func:`complete_basis` (the identity for {0})."""
     full = complete_basis(v.basis)
     return Subspace(v.ambient_dim, v.field, full[:, v.dim:])
 

@@ -9,8 +9,8 @@ and says in its detail line when it was left out: the two identities and
 the exterior route up to ``AMBIENT_CAP``, the Gram route up to
 ``GRAM_PSI_CAP``.
 
-The checks of one call share a pair table (``_PairTable``) of principal
-angles and Plücker sums; nothing in it outlives the call.
+The checks of one call share a pair table (``_PairTable``) of completed
+bases, principal angles and Plücker sums; nothing in it outlives the call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import NumericalDegeneracyError
 from .exterior import AMBIENT_CAP, _angles_from_sums
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
-from .subspace import orthogonal_complement, principal_angles, random_subspace
+from .subspace import Subspace, complete_basis, principal_angles, random_subspace
 
 # Cap on sampled ordered triples for the triangle check on user files.
 _TRIANGLE_CAP = 600
@@ -48,13 +48,20 @@ class CheckResult:
 
 class _PairTable(list):
     """The (id, Subspace) pairs of one call and, computed on first use, the
-    principal angles per unordered pair (the kernel is symmetric bit for
-    bit) and the Plücker sums per ordered pair.  A computation that raises
-    is not stored, so every check that needs that pair fails on it."""
+    completed basis per subspace, the principal angles per unordered pair
+    (the kernel is symmetric bit for bit) and the Plücker sums per ordered
+    pair.  A computation that raises is not stored, so every check that
+    needs that pair fails on it."""
 
     def __init__(self, pairs):
         super().__init__(pairs)
-        self._angles, self._sums = {}, {}
+        self._completions, self._angles, self._sums = {}, {}, {}
+
+    def completion(self, i: int) -> np.ndarray:
+        """``complete_basis`` of subspace i; its trailing columns span V_i^perp."""
+        if i not in self._completions:
+            self._completions[i] = complete_basis(self[i][1].basis)
+        return self._completions[i]
 
     @classmethod
     def of(cls, pairs) -> _PairTable:
@@ -68,7 +75,8 @@ class _PairTable(list):
 
     def plucker(self, i: int, j: int) -> tuple:
         if (i, j) not in self._sums:
-            self._sums[i, j] = exterior.plucker_sums(self[i][1], self[j][1])
+            self._sums[i, j] = exterior.plucker_sums(self[i][1], self.completion(j),
+                                                     self[j][1].dim)
         return self._sums[i, j]
 
     def theta(self, i: int, j: int) -> float:
@@ -170,7 +178,9 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
 
 def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
     pairs = _PairTable.of(pairs)
-    perps = _PairTable([(vid, orthogonal_complement(v)) for vid, v in pairs])
+    perps = _PairTable([(vid, Subspace(v.ambient_dim, v.field,
+                                       pairs.completion(i)[:, v.dim:]))
+                        for i, (vid, v) in enumerate(pairs)])
     worst, culprit = 0.0, "none"
     for (i, (vid, _)), (j, (wid, _)) in itertools.permutations(enumerate(pairs), 2):
         err = abs(perps.theta(i, j) - pairs.theta(j, i))

@@ -10,6 +10,7 @@ from grassdist import (AngleRoute, Field, Subspace, angle_report,
                        asymmetric_angle, disjointness_angle, random_subspace,
                        supplementation_angle)
 from grassdist.exterior import plucker_sums
+from grassdist.subspace import complete_basis
 
 from exterior_algebra import blade_from_basis, contraction, regressive, wedge
 
@@ -83,7 +84,7 @@ def test_sums_are_the_norms_of_the_blade_products(rng, field):
     for v, w in random_pairs(rng, field, 60):
         a = blade_from_basis(v.basis, field)
         b = blade_from_basis(w.basis, field)
-        theta, upsilon, psi = plucker_sums(v, w)
+        theta, upsilon, psi = plucker_sums(v, complete_basis(w.basis), w.dim)
         assert theta[1] == pytest.approx(contraction(a, b).norm() ** 2, abs=1e-12)
         assert upsilon[0] == pytest.approx(wedge(a, b).norm() ** 2, abs=1e-12)
         assert psi[0] == pytest.approx(regressive(a, b).norm() ** 2, abs=1e-12)

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from grassdist import corpus
-from grassdist.errors import DimensionError
+from grassdist import corpus, subspace
+from grassdist.errors import DimensionError, NumericalDegeneracyError
 from grassdist.numerics import Field, Tolerance, gram
 from grassdist.subspace import (Subspace, complete_basis, direct_sum,
                                 intersection_dim, is_partially_orthogonal,
@@ -185,6 +186,85 @@ class TestPrincipalAnglesKernel:
         z = Subspace.zero(4, field)
         assert principal_angles(v, z).shape == (0,)
         assert principal_angles(z, v).shape == (0,)
+
+
+class TestOneAngleSource:
+    """``principal_decomposition`` takes its angles from the kernel, so a
+    decision on them agrees with Psi's, which counts the kernel's angles
+    below ``angle_tol``."""
+
+    @staticmethod
+    def pairs(field):
+        rng = np.random.default_rng(77)
+        for seed in range(80):
+            n = int(rng.integers(2, 10))
+            p, q = (int(x) for x in rng.integers(1, n + 1, 2))
+            shared = int(rng.integers(0, min(p, q) + 1))
+            v, w = _kernel_pair(field, n, p, q, shared, seed)
+            yield v, w
+            yield w, v
+
+    def test_decomposition_angles_are_the_kernel_angles(self, field):
+        for v, w in self.pairs(field):
+            want = principal_angles(v, w).tobytes()
+            assert principal_decomposition(v, w).angles.tobytes() == want
+
+    def test_intersection_dim_is_psis_count(self, field):
+        for v, w in self.pairs(field):
+            theta = principal_angles(v, w)
+            pd = principal_decomposition(v, w)
+            # the default cutoff, and one placed at each angle
+            for cutoff in [Tolerance().angle_tol, *theta.tolist()]:
+                tol = Tolerance(angle_tol=cutoff)
+                psi_count = int(np.count_nonzero(theta < tol.angle_tol))
+                assert pd.intersection_dim(tol) == psi_count
+
+
+def scripted_singular_values(monkeypatch, *scripted):
+    """Make the kernel's ``singular_values`` return the scripted values in
+    order (None keeps the true ones), then the true values."""
+    true_values = subspace.singular_values
+    queue = list(scripted)
+
+    def fake(m):
+        value = queue.pop(0) if queue else None
+        return true_values(m) if value is None else np.array(value)
+
+    monkeypatch.setattr(subspace, "singular_values", fake)
+
+
+class TestKernelDegeneracy:
+    """The kernel raises on a cosine or sine beyond 1 + CLAMP_SLACK, and
+    takes one within it as 1 without a warning."""
+
+    @staticmethod
+    def turned_planes():
+        # cosines 1 and cos 0.3, both above sqrt(1/2): the sine branch runs
+        a = 0.3
+        v = Subspace.from_columns(np.eye(3)[:, :2], R)
+        w = Subspace.from_columns([[1, 0], [0, math.cos(a)], [0, math.sin(a)]], R)
+        return v, w
+
+    def test_a_cosine_beyond_roundoff_raises(self, monkeypatch):
+        v, w = self.turned_planes()
+        scripted_singular_values(monkeypatch, [1 + 1e-7, 0.5])
+        with pytest.raises(NumericalDegeneracyError):
+            principal_angles(v, w)
+
+    def test_a_sine_beyond_roundoff_raises(self, monkeypatch):
+        v, w = self.turned_planes()
+        # the true cosines, then sines (descending) whose largest is bad
+        scripted_singular_values(monkeypatch, None, [1 + 1e-7, 0.1])
+        with pytest.raises(NumericalDegeneracyError):
+            principal_angles(v, w)
+
+    def test_a_cosine_within_roundoff_gives_angle_zero(self, monkeypatch):
+        line = Subspace.from_columns(np.eye(3)[:, :1], R)
+        scripted_singular_values(monkeypatch, [1 + 1e-12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = principal_angles(line, line)
+        assert theta.tolist() == [0.0]
 
 
 class TestPartialOrthogonality:
