@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError
-from .exterior import (AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles,
-                       plucker_sums)
+from .exterior import AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles
 from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
-from .subspace import (Subspace, _check_pair, complete_basis, principal_angles,
-                       principal_decomposition, project_onto, underlying_real)
+from .subspace import (Subspace, _check_pair, _count_right, _count_zero,
+                       principal_angles, principal_decomposition)
 
 
 class AngleRoute(enum.Enum):
@@ -201,22 +200,16 @@ def asymmetric_angle(v: Subspace, w: Subspace) -> float:
     return asymmetric_distance(_FUBINI_STUDY, v, w).value
 
 
+def _projection_factor(theta: float, field: Field) -> float:
+    """cos Theta over the reals, cos^2 Theta over the complexes."""
+    c = math.cos(theta)
+    return c if field is Field.REAL else c * c
+
+
 def projection_factor(v: Subspace, w: Subspace) -> float:
     """Volume contraction factor under orthogonal projection from V to W:
     cos Theta over the reals, cos^2 Theta over the complexes."""
-    c = math.cos(asymmetric_angle(v, w))
-    return c if v.field is Field.REAL else c * c
-
-
-def real_complex_relation_check(v: Subspace, w: Subspace) -> tuple[float, float]:
-    """Both sides of ``cos Theta(V_R, W_R) = cos^2 Theta(V, W)`` for a
-    complex pair; equality is the assertion target."""
-    if v.field is not Field.COMPLEX:
-        raise DimensionError("relation check requires complex subspaces")
-    _check_pair(v, w)
-    lhs = math.cos(asymmetric_angle(underlying_real(v), underlying_real(w)))
-    rhs = math.cos(asymmetric_angle(v, w)) ** 2
-    return lhs, rhs
+    return _projection_factor(asymmetric_angle(v, w), v.field)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +236,13 @@ def disjointness_angle(v: Subspace, w: Subspace) -> float:
 def _psi_principal(v: Subspace, w: Subspace, theta: np.ndarray,
                    tol: Tolerance) -> float:
     """Psi(V, W) by the case analysis on r = dim(V & W), the count of
-    principal angles below ``tol.angle_tol``: V + W is the whole space
+    principal angles at most ``tol.angle_tol``: V + W is the whole space
     exactly when p + q - r = n ({0} never reaches it), and then sin Psi is
     the product of the other sines.  ``angle_report`` flags a fragile r."""
     n = v.ambient_dim
     if v.dim == n or w.dim == n:
         return math.pi / 2
-    r = int(np.count_nonzero(theta < tol.angle_tol))
+    r = _count_zero(theta, tol)
     if v.dim + w.dim - r < n:
         return 0.0
     return _sine_product_angle(theta[r:])
@@ -287,37 +280,6 @@ def pythagorean_sum(v: Subspace, basis_vectors) -> float:
     return float(np.sum(np.abs(plucker) ** 2))
 
 
-def sine_identity_sum(v: Subspace, w: Subspace) -> tuple[float, float]:
-    """Both sides of the sine identity
-    ``sin^2 Theta(V, W) = sum over p-multi-indices not inside 1..q of
-    cos^2 Theta(V, [f_i])``, the f's extending an orthonormal basis of W
-    to one of the ambient space (any such basis gives the same sum).  The
-    sum is the exterior route's sine side; the other side is Binet-Cauchy
-    squared, from the principal angles."""
-    _check_pair(v, w)
-    if v.dim == 0 or w.dim == 0:
-        raise DimensionError("sine identity requires nonzero subspaces")
-    (sin2_theta, _), _, _ = plucker_sums(v, complete_basis(w.basis), w.dim)
-    bc = extension_from_angles(METRICS["binet_cauchy"], principal_angles(v, w),
-                               v.dim, w.dim)
-    return sin2_theta, bc.value ** 2
-
-
-def spherical_pythagorean_check(v: Subspace, w: Subspace, w_sub: Subspace,
-                                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """Both sides of ``cos Theta(V, W') = cos Theta(V, P_W(V)) *
-    cos Theta(P_W(V), W')`` for W' contained in W."""
-    _check_pair(v, w)
-    _check_pair(w, w_sub)
-    if not w.contains(w_sub, tol):
-        raise DimensionError("w_sub is not contained in w")
-    pv = project_onto(v, w, tol)
-    lhs = math.cos(asymmetric_angle(v, w_sub))
-    rhs = (math.cos(asymmetric_angle(v, pv))
-           * math.cos(asymmetric_angle(pv, w_sub)))
-    return lhs, rhs
-
-
 def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
                                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Both sides of ``cos Theta(V, W) = cos Theta(V', W') cos Theta(V'', W'')``
@@ -334,7 +296,7 @@ def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
         # split W along a principal basis of (V', W): the leading right
         # principal vectors span P_W(V'), the rest its complement inside W
         pd = principal_decomposition(v1, w)
-        k = int(np.count_nonzero(pd.angles < np.pi / 2 - tol.angle_tol))
+        k = len(pd.angles) - _count_right(pd.angles, tol)
         w1 = Subspace(w.ambient_dim, w.field, pd.right_basis[:, :k])
         w2 = Subspace(w.ambient_dim, w.field, pd.right_basis[:, k:])
     else:
@@ -364,9 +326,9 @@ def _principal_values(v: Subspace, w: Subspace, theta: np.ndarray,
 class AngleReport:
     """Every angle of a pair in one place (radians).
 
-    Psi reads dim(V & W) as the number of principal angles below
+    Psi reads dim(V & W) as the number of principal angles at most
     ``angle_tol``.  ``psi_ill_conditioned`` flags a fragile V + W = X
-    decision: some principal angle lies in [angle_tol, 1e-6), just above
+    decision: some principal angle lies in (angle_tol, 1e-6), just above
     that cutoff, where the supplementation case analysis is discontinuous.
     """
 
@@ -392,7 +354,8 @@ def angle_report(v: Subspace, w: Subspace,
     """
     _check_pair(v, w)
     theta = principal_angles(v, w)
-    fragile = bool(np.any((theta >= tol.angle_tol) & (theta < _CONDITION_BAND)))
+    # the angles ascend: past the r that read as 0, all lie above the cutoff
+    fragile = bool(np.any(theta[_count_zero(theta, tol):] < _CONDITION_BAND))
     if route is AngleRoute.PRINCIPAL:
         values = _principal_values(v, w, theta, tol)
     else:

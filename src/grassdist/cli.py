@@ -19,12 +19,12 @@ import sys
 
 import numpy as np
 
-from .angles import AngleRoute, angle_report, projection_factor
+from .angles import AngleRoute, _projection_factor, angle_report
 from .errors import DegenerateBasisError, DimensionError, NumericalDegeneracyError
 from .io import (DistanceMatrixOutput, SubspaceFileError, load_subspace_file)
 from .metrics import (DIAGNOSTICS, METRICS, asymmetric_distance, containment_gap,
-                      diagnostic_quantities, directional_distance, gap,
-                      symmetric_distance, symmetrize)
+                      diagnostic_quantities, directional_distance,
+                      extension_from_angles, gap, symmetric_distance, symmetrize)
 from .numerics import Tolerance
 from .verify import run_verification
 
@@ -76,7 +76,10 @@ def cmd_angles(args) -> int:
     print(f"  psi (supplementation):   {_fmt_angle(report.psi)}")
     pa = ", ".join(f"{math.degrees(t):.6f}" for t in report.principal_angles)
     print(f"  principal angles (deg):  [{pa}]")
-    print(f"  projection factor:       {projection_factor(v, w)!r}")
+    # Theta from the principal angles; on an oracle route theta_vw is the oracle's
+    theta = extension_from_angles(METRICS["fubini_study"],
+                                  report.principal_angles, p, q).value
+    print(f"  projection factor:       {_projection_factor(theta, sfile.field)!r}")
     if report.psi_ill_conditioned:
         print("  note: psi case decision is near-degenerate "
               "(principal angle close to the zero cutoff)")

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .numerics import DEFAULT_TOL, Field, Tolerance, product_and_complement
-from .subspace import Subspace, _check_pair, principal_angles, random_unitary
+from .subspace import (Subspace, _check_pair, _count_right, principal_angles,
+                       random_unitary)
 
 _HALF_PI = math.pi / 2
 
@@ -184,8 +185,9 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
                           tol: Tolerance = DEFAULT_TOL) -> dict[str, float]:
     """Non-metric diagnostics: max-correlation ``sin theta_1`` (zero exactly
     when the subspaces intersect) and the Martin quantity
-    ``sqrt(-log prod cos^2 theta_i)`` (infinite under partial orthogonality),
-    summed as ``log1p(tan^2 theta_i)`` so neither end of [0, pi/2) cancels.
+    ``sqrt(-log prod cos^2 theta_i)`` (infinite when some principal angle
+    reads as pi/2), summed as ``log1p(tan^2 theta_i)`` so neither end of
+    [0, pi/2) cancels.
 
     Neither satisfies a triangle inequality for general subspaces.
     """
@@ -193,7 +195,7 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("diagnostics require nonzero subspaces")
     theta = principal_angles(v, w)
-    martin = (math.inf if theta[-1] > _HALF_PI - tol.angle_tol
+    martin = (math.inf if _count_right(theta, tol) > 0
               else math.sqrt(float(np.sum(np.log1p(np.tan(theta) ** 2)))))
     return {"max_correlation": float(np.sin(theta[0])), "martin": martin}
 

@@ -1,9 +1,9 @@
 """Field-generic dense linear algebra layer.
 
-Inner products, Gram matrices, orthonormalization, rank decisions and
-singular value decomposition, for real and complex data alike.  The inner
-product is conjugate linear in the FIRST argument throughout the package:
-``inner(v, w) == sum(conj(v_i) * w_i)``.
+Gram matrices, orthonormalization, rank decisions and singular value
+decomposition, for real and complex data alike.  The inner product is
+conjugate linear in the FIRST argument throughout the package:
+``<v, w> = sum(conj(v_i) * w_i)``, so ``gram(a) = a^H a``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,11 @@ class Tolerance:
     rank_tol : float
         Relative singular-value cutoff for rank decisions.
     angle_tol : float
-        Absolute cutoff in radians for angle comparisons.
+        Absolute cutoff in radians for angle decisions.  The rule is
+        inclusive at both ends: an angle theta reads as 0 when
+        theta <= angle_tol and as pi/2 when theta >= pi/2 - angle_tol, so
+        at 0 exactly the angles 0.0 and pi/2 do.  A containment residual
+        counts as 0 when it is at most angle_tol.
     """
 
     rank_tol: float = 1e-10
@@ -66,10 +70,13 @@ _UNIT_SNAP = 3e-15
 def as_matrix(data, field: Field) -> np.ndarray:
     """Coerce ``data`` to a finite 2-D array with the field's dtype.
 
-    A 1-D input is treated as a single column.  Complex data under
-    ``Field.REAL`` is rejected.
+    A 1-D input is treated as a single column.  Entries that numpy does not
+    read as numbers (strings, None, integers beyond 64 bits) and complex
+    data under ``Field.REAL`` are rejected.
     """
     a = np.asarray(data)
+    if a.dtype.kind not in "biufc":
+        raise DimensionError(f"matrix entries must be numbers, got dtype {a.dtype}")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
@@ -83,17 +90,8 @@ def as_matrix(data, field: Field) -> np.ndarray:
     return a.astype(field.dtype, copy=False)
 
 
-def inner(v, w):
-    """Inner product, conjugate linear in the first argument."""
-    v = np.asarray(v).reshape(-1)
-    w = np.asarray(w).reshape(-1)
-    if v.shape != w.shape:
-        raise DimensionError(f"length mismatch: {v.shape[0]} vs {w.shape[0]}")
-    return np.vdot(v, w)
-
-
 def gram(columns) -> np.ndarray:
-    """Gram matrix ``G[i, j] = inner(column_i, column_j)``.
+    """Gram matrix ``G[i, j] = <column_i, column_j>``.
 
     Hermitian positive semidefinite by construction.
     """
@@ -133,11 +131,12 @@ def _rank(s: np.ndarray, rank_tol: float) -> int:
 def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     """Orthonormal basis of the column span of ``columns``, from one SVD.
 
-    The number of returned columns is the numerical rank (the rule of
-    :func:`numerical_rank`).  At full column rank the result is the polar
-    factor ``U @ V^H``, the orthonormal basis closest to the input;
-    otherwise it is the leading left singular vectors.  Rank-deficient
-    input is legal: the span is preserved and the basis shrinks.
+    The number of returned columns is the numerical rank: the count of
+    singular values at or above ``rank_tol`` times the largest.  At full
+    column rank the result is the polar factor ``U @ V^H``, the orthonormal
+    basis closest to the input; otherwise it is the leading left singular
+    vectors.  Rank-deficient input is legal: the span is preserved and the
+    basis shrinks.
     """
     a = np.asarray(columns)
     if a.ndim != 2:
@@ -180,12 +179,3 @@ def product_and_complement(factors, complements) -> tuple[float, float]:
         x += g * g * (1.0 - x)
     return prod, math.sqrt(x)
 
-
-def numerical_rank(m, rank_tol: float = DEFAULT_TOL.rank_tol) -> int:
-    """Numerical rank of ``m``: the number of singular values at or above
-    ``rank_tol * sigma_max`` (0 for an empty or zero matrix).
-    ``orthonormalize`` keeps exactly this many columns."""
-    a = np.asarray(m)
-    if a.size == 0:
-        return 0
-    return _rank(singular_values(a), rank_tol)

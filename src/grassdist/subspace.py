@@ -9,10 +9,12 @@ vectors, from two singular-value-only SVDs (Knyazev & Argentati, SIAM J.
 Sci. Comput. 23(6), 2002): the cosines are the singular values of
 ``E^H F`` and, where some angle is below pi/4, the sines are those of the
 residual ``F - E E^H F``.  The sine route resolves angles far below the
-~1e-8 floor of ``arccos``, so counting angles below ``angle_tol`` really
+~1e-8 floor of ``arccos``, so counting angles at most ``angle_tol`` really
 does recover ``dim(V & W)``.  It is the only code that computes principal
 angles: :func:`principal_decomposition` takes its angles from it and adds
-the principal bases, for the few callers that need vectors.
+the principal bases, for the few callers that need vectors.  Every
+decision on the angles reads them through :func:`_count_zero` or
+:func:`_count_right`, by the inclusive rule of ``Tolerance``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
-                       gram, numerical_rank, orthonormalize, singular_values)
+                       gram, orthonormalize, singular_values)
 
 # Orthonormality slack accepted on construction; inputs further from
 # orthonormal than this are re-orthonormalized.
@@ -101,12 +103,12 @@ class Subspace:
 
     def contains(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when every basis vector of ``other`` lies in this subspace
-        (projector residual below angle_tol)."""
+        (projector residual at most angle_tol)."""
         _check_pair(self, other)
         if other.dim == 0:
             return True
         resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        return float(np.linalg.norm(resid)) < tol.angle_tol
+        return float(np.linalg.norm(resid)) <= tol.angle_tol
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, "
@@ -132,9 +134,6 @@ class PrincipalDecomposition:
     angles: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
-
-    def intersection_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return int(np.count_nonzero(self.angles < tol.angle_tol))
 
 
 def principal_decomposition(v: Subspace, w: Subspace) -> PrincipalDecomposition:
@@ -194,10 +193,21 @@ def principal_angles(v: Subspace, w: Subspace) -> np.ndarray:
     return np.sort(theta)
 
 
+def _count_zero(theta: np.ndarray, tol: Tolerance) -> int:
+    """How many of the angles ``theta`` read as 0: theta <= angle_tol.  Over
+    the principal angles of a pair this is r = dim(V & W)."""
+    return int(np.count_nonzero(theta <= tol.angle_tol))
+
+
+def _count_right(theta: np.ndarray, tol: Tolerance) -> int:
+    """How many of the angles ``theta`` read as pi/2: >= pi/2 - angle_tol."""
+    return int(np.count_nonzero(theta >= np.pi / 2 - tol.angle_tol))
+
+
 def is_partially_orthogonal(v: Subspace, w: Subspace,
                             tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when W^perp meets V nontrivially: dim W < dim V or some
-    principal angle is (within tolerance) pi/2.
+    principal angle reads as pi/2.
 
     Conventions: V = {0} is never partially orthogonal; any nonzero V is
     partially orthogonal to {0}.
@@ -207,8 +217,7 @@ def is_partially_orthogonal(v: Subspace, w: Subspace,
         return False
     if w.dim == 0 or w.dim < v.dim:
         return True
-    theta = principal_angles(v, w)
-    return bool(theta[-1] > np.pi / 2 - tol.angle_tol)
+    return _count_right(principal_angles(v, w), tol) > 0
 
 
 def projective_split(v: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
@@ -231,14 +240,14 @@ def projective_split(v: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
 def project_onto(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """The orthogonal projection P_W(V) as a subspace.
 
-    Its dimension is the number of principal angles away from pi/2, capped
-    at min(dim V, dim W).
+    Its dimension is the number of principal angles that do not read as
+    pi/2, capped at min(dim V, dim W).
     """
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         return Subspace.zero(w.ambient_dim, w.field)
     pd = principal_decomposition(v, w)
-    k = int(np.count_nonzero(pd.angles < np.pi / 2 - tol.angle_tol))
+    k = len(pd.angles) - _count_right(pd.angles, tol)
     return Subspace(w.ambient_dim, w.field, pd.right_basis[:, :k])
 
 
@@ -257,32 +266,6 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     of :func:`complete_basis` (the identity for {0})."""
     full = complete_basis(v.basis)
     return Subspace(v.ambient_dim, v.field, full[:, v.dim:])
-
-
-def direct_sum(v: Subspace, w: Subspace) -> Subspace:
-    """Direct sum of two orthogonal subspaces (bases are concatenated)."""
-    _check_pair(v, w)
-    return Subspace(v.ambient_dim, v.field,
-                    np.concatenate([v.basis, w.basis], axis=1))
-
-
-def sum_subspace(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """The (not necessarily direct) sum V + W."""
-    _check_pair(v, w)
-    stacked = np.concatenate([v.basis, w.basis], axis=1)
-    return Subspace.from_columns(stacked, v.field, tol)
-
-
-def intersection_dim(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> int:
-    """dim(V & W) by the rank of the stacked bases: p + q - rank[V | W].
-
-    An independent oracle for the tests; no default path uses it (Psi
-    counts the principal angles below ``angle_tol`` instead)."""
-    _check_pair(v, w)
-    if v.dim == 0 or w.dim == 0:
-        return 0
-    stacked = np.concatenate([v.basis, w.basis], axis=1)
-    return v.dim + w.dim - numerical_rank(stacked, tol.rank_tol)
 
 
 def _real_vector(z: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""A second principal-angle route, held in the tests as a reference for the
-kernel ``grassdist.subspace.principal_angles``.
+"""References held in the tests for the kernel
+``grassdist.subspace.principal_angles`` and the decisions read from it.
 
-It takes the full SVD of ``E^H F`` with vectors, clamps the cosines into
-[0, 1], and replaces every angle below pi/4 by ``arcsin`` of the norm of
-its principal vector's residual ``f_i - E E^H f_i``.  The kernel instead
-reads all sines as singular values of one residual matrix, so the two
-agree only to roundoff.
+``reference_angles`` is a second principal-angle route.  It takes the full
+SVD of ``E^H F`` with vectors, clamps the cosines into [0, 1], and replaces
+every angle below pi/4 by ``arcsin`` of the norm of its principal vector's
+residual ``f_i - E E^H f_i``.  The kernel instead reads all sines as
+singular values of one residual matrix, so the two agree only to roundoff.
+
+``intersection_dim`` reads dim(V & W) from the rank of the stacked bases,
+with no principal angle at all.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from grassdist.errors import NumericalDegeneracyError
-from grassdist.numerics import _UNIT_SNAP, CLAMP_SLACK
+from grassdist.numerics import _UNIT_SNAP, CLAMP_SLACK, DEFAULT_TOL, _rank
 from grassdist.subspace import Subspace
 
 
@@ -39,3 +42,13 @@ def reference_angles(v: Subspace, w: Subspace) -> np.ndarray:
     resid = cols - e @ (e.conj().T @ cols)
     theta[small] = np.arcsin(_clamp(np.linalg.norm(resid, axis=0)))
     return np.sort(theta)
+
+
+def intersection_dim(v: Subspace, w: Subspace,
+                     rank_tol: float = DEFAULT_TOL.rank_tol) -> int:
+    """dim(V & W) = p + q - rank[V | W], the rank counted by the rule of
+    ``orthonormalize``."""
+    if v.dim == 0 or w.dim == 0:
+        return 0
+    stacked = np.concatenate([v.basis, w.basis], axis=1)
+    return v.dim + w.dim - _rank(np.linalg.svd(stacked, compute_uv=False), rank_tol)

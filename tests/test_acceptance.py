@@ -16,19 +16,19 @@ import pytest
 from grassdist import corpus
 from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
                               disjointness_angle, orthogonal_partition_check,
-                              pythagorean_sum, real_complex_relation_check,
-                              sine_identity_sum, spherical_pythagorean_check,
-                              supplementation_angle)
+                              pythagorean_sum, supplementation_angle)
 from grassdist.cli import main
 from grassdist.metrics import (METRICS, asymmetric_distance, containment_gap,
                                equal_dim_distance, extension_from_angles,
                                make_equality_triple)
 from grassdist.numerics import Field
-from grassdist.subspace import (Subspace, direct_sum, orthogonal_complement,
+from grassdist.subspace import (Subspace, orthogonal_complement,
                                 principal_angles, random_subspace,
-                                random_unitary, sum_subspace)
+                                random_unitary)
 
 from angle_reference import reference_angles
+from conftest import (real_complex_sides, sine_identity_sides,
+                      spherical_pythagorean_sides)
 
 COS_TOL = 1e-9     # absolute tolerance on cosines and sines
 ANGLE_TOL = 1e-7   # absolute tolerance on angles, radians
@@ -75,7 +75,7 @@ def test_criterion_1_golden_examples():
     theta_c = asymmetric_angle(g.v, g.w)
     want("c4.Theta", theta_c, math.acos(math.sqrt(2) / 4), ANGLE_TOL)
     want("c4.Theta_deg", math.degrees(theta_c), 69.295, 5e-3)
-    lhs, rhs = real_complex_relation_check(g.v, g.w)
+    lhs, rhs = real_complex_sides(g.v, g.w)
     want("c4.cos_thetaR", lhs, 1 / 8, COS_TOL)
     want("c4.cos2_theta", rhs, 1 / 8, COS_TOL)
     want("c4.ThetaR_deg",
@@ -147,7 +147,7 @@ def test_criterion_1_golden_examples():
 
     # Sine identity example: sum = 3/4 = sin^2 Theta
     v, w = blades["real_principal_angles"].v, blades["real_principal_angles"].w
-    total, sin2 = sine_identity_sum(v, w)
+    total, sin2 = sine_identity_sides(v, w)
     want("sine.sum", total, 0.75, COS_TOL)
     want("sine.sin2", sin2, 0.75, COS_TOL)
 
@@ -301,7 +301,7 @@ def test_criterion_5_identity_suites():
         # spherical Pythagorean with random W' inside W
         mix = np.linalg.qr(rng.standard_normal((w.dim, max(1, w.dim - 1))))[0]
         w_sub = Subspace(n, field, w.basis @ mix.astype(w.basis.dtype))
-        lhs, rhs = spherical_pythagorean_check(v, w, w_sub)
+        lhs, rhs = spherical_pythagorean_sides(v, w, w_sub)
         track("spherical_pythagorean", abs(lhs - rhs))
 
         # orthogonal partition
@@ -316,10 +316,12 @@ def test_criterion_5_identity_suites():
         track("perp_duality", abs(lhs - asymmetric_angle(w, v)))
 
         # padding invariance
-        comp = orthogonal_complement(sum_subspace(v, w))
+        vw = Subspace.from_columns(np.concatenate([v.basis, w.basis], axis=1), field)
+        comp = orthogonal_complement(vw)
         if comp.dim:
-            u = Subspace(n, field, comp.basis[:, :1])
-            track("padding", abs(asymmetric_angle(v, direct_sum(w, u))
+            padded = Subspace(n, field, np.concatenate([w.basis, comp.basis[:, :1]],
+                                                       axis=1))
+            track("padding", abs(asymmetric_angle(v, padded)
                                  - asymmetric_angle(v, w)))
 
         # unitary invariance

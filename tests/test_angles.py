@@ -8,19 +8,17 @@ from grassdist import corpus
 from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
                               cos2_theta_from_gram, disjointness_angle,
                               orthogonal_partition_check, projection_factor,
-                              pythagorean_sum, real_complex_relation_check,
-                              sine_identity_sum, sin2_psi_from_gram,
-                              sin2_upsilon_from_gram,
-                              spherical_pythagorean_check,
-                              supplementation_angle)
+                              pythagorean_sum, sin2_psi_from_gram,
+                              sin2_upsilon_from_gram, supplementation_angle)
 from grassdist.errors import DegenerateBasisError, DimensionError
 from grassdist.metrics import asymmetric_distance
 from grassdist.numerics import DEFAULT_TOL, Field, Tolerance, clamp_cosine
-from grassdist.subspace import (Subspace, direct_sum, orthogonal_complement,
+from grassdist.subspace import (Subspace, orthogonal_complement,
                                 principal_angles, random_subspace,
-                                random_unitary, sum_subspace)
+                                random_unitary, underlying_real)
 
-from conftest import random_matrix
+from conftest import (random_matrix, real_complex_sides, sine_identity_sides,
+                      spherical_pythagorean_sides)
 
 R = Field.REAL
 C = Field.COMPLEX
@@ -243,31 +241,31 @@ class TestProjectionFactor:
 class TestRealComplexRelation:
     def test_paper_pair(self):
         v, w = sub(corpus.COMPLEX_PA_V, C), sub(corpus.COMPLEX_PA_W, C)
-        lhs, rhs = real_complex_relation_check(v, w)
+        lhs, rhs = real_complex_sides(v, w)
         assert lhs == pytest.approx(1 / 8, abs=1e-9)
         assert rhs == pytest.approx(1 / 8, abs=1e-9)
-        theta_r = asymmetric_angle(*(map(__import__("grassdist").underlying_real,
-                                         (v, w))))
+        theta_r = asymmetric_angle(underlying_real(v), underlying_real(w))
         assert math.degrees(theta_r) == pytest.approx(82.819, abs=5e-3)
 
     def test_random_pairs_agree(self, rng):
         for seed in range(10):
             v = random_subspace(3, int(rng.integers(1, 3)), C, 300 + seed)
             w = random_subspace(3, int(rng.integers(1, 4)), C, 400 + seed)
-            lhs, rhs = real_complex_relation_check(v, w)
+            lhs, rhs = real_complex_sides(v, w)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_contained(self):
         w = random_subspace(4, 3, C, 5)
         v = Subspace(4, C, w.basis[:, :2])
-        lhs, rhs = real_complex_relation_check(v, w)
+        lhs, rhs = real_complex_sides(v, w)
         assert lhs == pytest.approx(1, abs=1e-9)
         assert rhs == pytest.approx(1, abs=1e-9)
 
     def test_real_rejected(self):
+        # the relation reads the underlying real space of a complex one
         v = random_subspace(3, 1, R, 6)
         with pytest.raises(DimensionError):
-            real_complex_relation_check(v, v)
+            underlying_real(v)
 
 
 class TestUpsilonPsiStructure:
@@ -360,10 +358,10 @@ class TestThetaProperties:
     def test_padding_invariance(self, rng, field):
         v = random_subspace(8, 2, field, 16)
         w = random_subspace(8, 3, field, 17)
-        vw = sum_subspace(v, w)
+        vw = Subspace.from_columns(np.concatenate([v.basis, w.basis], axis=1), field)
         comp = orthogonal_complement(vw)
         u = Subspace(8, field, comp.basis[:, :2])
-        padded = direct_sum(w, u)
+        padded = Subspace(8, field, np.concatenate([w.basis, u.basis], axis=1))
         assert asymmetric_angle(v, padded) == pytest.approx(
             asymmetric_angle(v, w), abs=1e-9)
 
@@ -393,7 +391,8 @@ class TestThetaProperties:
         w_p, w_perp = projective_split(v, w)
         assert asymmetric_angle(v, w_p) == pytest.approx(
             asymmetric_angle(v, w), abs=1e-9)
-        assert asymmetric_angle(direct_sum(v, w_perp), w) == pytest.approx(
+        v_plus = Subspace(7, field, np.concatenate([v.basis, w_perp.basis], axis=1))
+        assert asymmetric_angle(v_plus, w) == pytest.approx(
             asymmetric_angle(v, w), abs=1e-9)
 
     def test_line_triangle_equality_witness(self, rng, field):
@@ -467,21 +466,21 @@ class TestPythagoreanSum:
 class TestSineIdentity:
     def test_paper_example(self):
         v, w = sub(corpus.REAL_PA_V), sub(corpus.REAL_PA_W)
-        total, sin2 = sine_identity_sum(v, w)
+        total, sin2 = sine_identity_sides(v, w)
         assert total == pytest.approx(0.75, abs=1e-9)
         assert sin2 == pytest.approx(0.75, abs=1e-9)
 
     def test_contained(self, field):
         w = random_subspace(5, 3, field, 28)
         v = Subspace(5, field, w.basis[:, :2])
-        total, sin2 = sine_identity_sum(v, w)
+        total, sin2 = sine_identity_sides(v, w)
         assert total == pytest.approx(0, abs=1e-9)
         assert sin2 == pytest.approx(0, abs=1e-9)
 
     def test_random(self, rng, field):
         v = random_subspace(5, 2, field, 29)
         w = random_subspace(5, 3, field, 30)
-        total, sin2 = sine_identity_sum(v, w)
+        total, sin2 = sine_identity_sides(v, w)
         assert total == pytest.approx(sin2, abs=1e-9)
 
 
@@ -489,7 +488,7 @@ class TestSphericalPythagorean:
     def test_w_sub_equals_w(self, rng, field):
         v = random_subspace(6, 2, field, 31)
         w = random_subspace(6, 4, field, 32)
-        lhs, rhs = spherical_pythagorean_check(v, w, w)
+        lhs, rhs = spherical_pythagorean_sides(v, w, w)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_random_subspace_of_w(self, rng, field):
@@ -498,15 +497,15 @@ class TestSphericalPythagorean:
             w = random_subspace(6, 4, field, 3400 + seed)
             mix = np.linalg.qr(random_matrix(rng, 4, 2, field))[0]
             w_sub = Subspace(6, field, w.basis @ mix)
-            lhs, rhs = spherical_pythagorean_check(v, w, w_sub)
+            lhs, rhs = spherical_pythagorean_sides(v, w, w_sub)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_containment_enforced(self):
-        v = random_subspace(6, 2, R, 33)
+        # the identity holds for W' inside W; a random plane is not
         w = random_subspace(6, 3, R, 34)
         other = random_subspace(6, 2, R, 35)
-        with pytest.raises(DimensionError):
-            spherical_pythagorean_check(v, w, other)
+        assert not w.contains(other)
+        assert w.contains(Subspace(6, R, w.basis[:, 1:]))
 
 
 class TestOrthogonalPartition:

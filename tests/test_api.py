@@ -10,12 +10,10 @@ from grassdist import (angles, cli, corpus, exterior, io, metrics, numerics,
 # band, Martin's infinity, or a verify pass threshold.  Derivations from the
 # principal angles have no cutoff and take no tolerance.
 TOLERANCE_READERS = {
-    "subspace.Subspace.from_columns", "subspace.sum_subspace",
-    "subspace.intersection_dim", "io.parse_subspace_file",
-    "io.load_subspace_file",
-    "subspace.Subspace.contains", "subspace.PrincipalDecomposition.intersection_dim",
+    "subspace.Subspace.from_columns", "io.parse_subspace_file",
+    "io.load_subspace_file", "subspace.Subspace.contains",
     "subspace.is_partially_orthogonal", "subspace.project_onto",
-    "angles.spherical_pythagorean_check", "angles.orthogonal_partition_check",
+    "angles.orthogonal_partition_check",
     "angles.supplementation_angle", "angles.angle_report",
     "metrics.diagnostic_quantities",
     "verify.run_verification",

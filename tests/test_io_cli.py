@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from grassdist import angles, metrics, subspace, verify
 from grassdist.cli import main
 from grassdist.io import (SubspaceFileError, _array_columns, dump_subspace_file,
                           load_subspace_file, parse_subspace_file)
@@ -328,6 +329,29 @@ class TestAnglesCommand:
         assert dict(report_lines(out))["principal angles (deg)"] == \
             "[0.000000, 54.735610]"
 
+    def test_one_kernel_call_per_report(self, blades_file, capsys, monkeypatch):
+        # the projection factor comes from the report's principal angles,
+        # on every route
+        calls = []
+        kernel = subspace.principal_angles
+
+        def counted(v, w):
+            calls.append((v, w))
+            return kernel(v, w)
+
+        for module in (subspace, angles, metrics, verify):
+            monkeypatch.setattr(module, "principal_angles", counted)
+        for route in ("principal", "gram", "exterior"):
+            calls.clear()
+            assert main(["angles", blades_file, "A", "B", "--route", route]) == 0
+            assert len(calls) == 1, route
+        # and equals the standalone function bit for bit
+        sfile = load_subspace_file(blades_file)
+        factor = angles.projection_factor(sfile.get("A"), sfile.get("B"))
+        printed = dict(report_lines(capsys.readouterr().out))["projection factor"]
+        assert printed == repr(factor)
+        assert factor == pytest.approx(1 / 6, abs=1e-12)
+
     def test_missing_id_exit_2(self, blades_file, capsys):
         assert main(["angles", blades_file, "A", "nope"]) == 2
 
@@ -508,6 +532,34 @@ class TestVerifyCommand:
             "subspaces": [{"id": "a", "vectors": [[1e400, 0]]}]})
         assert main(["verify", bad]) == 2
 
+
+
+class TestZeroAngleTol:
+    """``--angle-tol 0`` on exact input: V = span(e1, e2) and W = span(e2, e3)
+    in R^3 share e2 at angle 0.0 and meet at an exact right angle."""
+
+    @pytest.fixture
+    def exact_file(self, tmp_path):
+        return write_file(tmp_path, {
+            "field": "real", "ambient_dim": 3,
+            "subspaces": [{"id": "V", "vectors": [[1, 0, 0], [0, 1, 0]]},
+                          {"id": "W", "vectors": [[0, 1, 0], [0, 0, 1]]}]})
+
+    def test_verify_passes(self, exact_file, capsys):
+        assert main(["verify", exact_file, "--angle-tol", "0"]) == 0
+        assert "all identities verified" in capsys.readouterr().out
+
+    def test_angles_psi_is_right(self, exact_file, capsys):
+        assert main(["angles", exact_file, "V", "W", "--angle-tol", "0"]) == 0
+        out = capsys.readouterr().out
+        assert_angle(report_angles(out)["psi (supplementation)"], math.pi / 2)
+        assert "note:" not in out
+
+    def test_martin_is_infinite(self, exact_file, capsys):
+        assert main(["matrix", exact_file, "--metric", "martin",
+                     "--angle-tol", "0", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert rows == ["V,0.0,inf", "W,inf,0.0"]
 
 def test_usage_error_exit_2(capsys):
     assert main(["angles"]) == 2

@@ -7,14 +7,16 @@ import pytest
 from grassdist import corpus, subspace
 from grassdist.errors import DimensionError, NumericalDegeneracyError
 from grassdist.numerics import Field, Tolerance, gram
-from grassdist.subspace import (Subspace, complete_basis, direct_sum,
-                                intersection_dim, is_partially_orthogonal,
+from grassdist.angles import angle_report, supplementation_angle
+from grassdist.metrics import diagnostic_quantities
+from grassdist.subspace import (Subspace, complete_basis,
+                                is_partially_orthogonal,
                                 orthogonal_complement, principal_angles,
                                 principal_decomposition, project_onto,
                                 projective_split, random_subspace,
                                 random_unitary, underlying_real)
 
-from angle_reference import reference_angles
+from angle_reference import intersection_dim, reference_angles
 from conftest import random_matrix
 
 R = Field.REAL
@@ -101,7 +103,7 @@ class TestPrincipalDecomposition:
         v = Subspace(8, field, q[:, :3])
         w = Subspace(8, field, np.concatenate([q[:, :2], q[:, 4:6]], axis=1))
         pd = principal_decomposition(v, w)
-        assert pd.intersection_dim(Tolerance()) == 2
+        assert np.count_nonzero(pd.angles <= Tolerance().angle_tol) == 2
         ref = reference_angles(v, w)
         assert ref[0] < 1e-12 and ref[1] < 1e-12
         assert intersection_dim(v, w) == 2
@@ -191,9 +193,10 @@ class TestPrincipalAnglesKernel:
 
 
 class TestOneAngleSource:
-    """``principal_decomposition`` takes its angles from the kernel, so a
-    decision on them agrees with Psi's, which counts the kernel's angles
-    below ``angle_tol``."""
+    """``principal_decomposition`` takes its angles from the kernel, and
+    every decision reads them by one inclusive rule: an angle reads as 0
+    when it is at most ``angle_tol`` and as pi/2 when it is at least
+    pi/2 - ``angle_tol``."""
 
     @staticmethod
     def pairs(field):
@@ -211,16 +214,64 @@ class TestOneAngleSource:
             want = principal_angles(v, w).tobytes()
             assert principal_decomposition(v, w).angles.tobytes() == want
 
-    def test_intersection_dim_is_psis_count(self, field):
+    def test_every_decision_site_reads_the_inclusive_rule(self, field):
         for v, w in self.pairs(field):
             theta = principal_angles(v, w)
-            pd = principal_decomposition(v, w)
-            # the default cutoff, and one placed at each angle
-            for cutoff in [Tolerance().angle_tol, *theta.tolist()]:
+            p, q, n = v.dim, w.dim, v.ambient_dim
+            # 0, the default, and a cutoff placed exactly at each angle, from
+            # either end
+            cutoffs = [0.0, Tolerance().angle_tol, *theta.tolist(),
+                       *(math.pi / 2 - theta).tolist()]
+            for cutoff in cutoffs:
                 tol = Tolerance(angle_tol=cutoff)
-                psi_count = int(np.count_nonzero(theta < tol.angle_tol))
-                assert pd.intersection_dim(tol) == psi_count
+                r = int(np.count_nonzero(theta <= cutoff))
+                right = int(np.count_nonzero(theta >= math.pi / 2 - cutoff))
+                if p == n or q == n:
+                    sin_psi = 1.0
+                elif p + q - r < n:
+                    sin_psi = 0.0
+                else:  # the sines of the angles that do not read as 0
+                    sin_psi = float(np.prod(np.sin(theta[r:])))
+                psi = supplementation_angle(v, w, tol)
+                assert math.sin(psi) == pytest.approx(sin_psi, rel=1e-12, abs=0)
+                fragile = bool(np.any((theta > cutoff) & (theta < 1e-6)))
+                assert angle_report(v, w, tol=tol).psi_ill_conditioned == fragile
+                assert is_partially_orthogonal(v, w, tol) == (q < p or right > 0)
+                assert project_onto(v, w, tol).dim == len(theta) - right
+                martin = diagnostic_quantities(v, w, tol)["martin"]
+                assert (martin == math.inf) == (right > 0)
 
+
+
+class TestZeroCutoff:
+    """At angle_tol = 0 an exact shared axis (angle 0.0) reads as 0 and an
+    exact right angle (arccos(0) = pi/2) reads as pi/2, at every site.
+    V = span(e1, e2) and W = span(e2, e3) in R^3 meet in e2 at angle 0, and
+    e1 is at pi/2 to W."""
+
+    TOL = Tolerance(angle_tol=0.0)
+
+    @staticmethod
+    def span(*axes):
+        return Subspace.from_columns(np.eye(3)[:, list(axes)], R)
+
+    def test_psi_counts_the_shared_axis(self):
+        v, w = self.span(0, 1), self.span(1, 2)
+        assert principal_angles(v, w).tolist() == [0.0, math.pi / 2]
+        report = angle_report(v, w, tol=self.TOL)
+        assert report.psi == supplementation_angle(v, w, self.TOL) == math.pi / 2
+        assert not report.psi_ill_conditioned
+
+    def test_right_angle_is_partial_orthogonality(self):
+        e1, e2 = self.span(0), self.span(1)
+        assert is_partially_orthogonal(e1, e2, self.TOL)
+        assert project_onto(e1, e2, self.TOL).dim == 0
+        assert diagnostic_quantities(e2, e1, self.TOL)["martin"] == math.inf
+        v, w = self.span(0, 1), self.span(1, 2)
+        assert diagnostic_quantities(v, w, self.TOL)["martin"] == math.inf
+
+    def test_exact_containment(self):
+        assert self.span(0, 1).contains(self.span(1), self.TOL)
 
 def scripted_singular_values(monkeypatch, *scripted):
     """Make the kernel's ``singular_values`` return the scripted values in
@@ -323,7 +374,7 @@ class TestProjectiveSplit:
                                    principal_angles(v, w), atol=1e-9)
         # V + W_perp vs W keeps the nonzero principal angles
         if intersection_dim(v, w_perp) == 0:
-            big = direct_sum(v, w_perp)
+            big = Subspace(7, field, np.concatenate([v.basis, w_perp.basis], axis=1))
             a = principal_angles(big, w)
             b = principal_angles(v, w)
             np.testing.assert_allclose(np.sort(a[a > 1e-8]),
@@ -427,4 +478,5 @@ def test_intersection_count_matches_rank(rng, field):
     v = Subspace(7, field, q[:, :4])
     w = Subspace(7, field, np.concatenate([q[:, 2:4], q[:, 5:6]], axis=1))
     pd = principal_decomposition(v, w)
-    assert pd.intersection_dim(Tolerance()) == intersection_dim(v, w) == 2
+    assert np.count_nonzero(pd.angles <= Tolerance().angle_tol) == 2
+    assert intersection_dim(v, w) == 2

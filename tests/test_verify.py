@@ -264,14 +264,14 @@ def test_pythagorean_identity_names_its_worst_subspace():
 
 
 def test_sine_identity_names_its_worst_pair():
-    from grassdist.angles import sine_identity_sum
+    from conftest import sine_identity_sides
     pairs = r8_pairs()
     result = verify._check_sine_identity(pairs, DEFAULT_TOL)
     m = re.search(r"\((\S+)->(\S+)\)$", result.detail)
     assert m, result.detail
     errors = {}
     for (vid, v), (wid, w) in itertools.permutations(pairs, 2):
-        lhs, rhs = sine_identity_sum(v, w)
+        lhs, rhs = sine_identity_sides(v, w)
         errors[vid, wid] = abs(lhs - rhs)
     assert errors[m.groups()] == result.worst == max(errors.values())
 
