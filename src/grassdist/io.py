@@ -26,6 +26,7 @@ bases.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,13 +197,16 @@ class DistanceMatrixOutput:
     direction_convention: str = "row->column"
 
     def to_json(self) -> str:
+        """Strict JSON (RFC 8259): an infinite entry, such as Martin's, is
+        written as ``null``; CSV keeps ``inf``."""
         return json.dumps({
             "metric": self.metric,
             "direction_convention": self.direction_convention,
             "ids": self.ids,
-            "values": [[float(x) for x in row] for row in self.values],
+            "values": [[None if x == math.inf else x for x in map(float, row)]
+                       for row in self.values],
             "units": self.units,
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = [f"# metric={self.metric} units={self.units} "

@@ -165,11 +165,8 @@ def directional_distance(v: Subspace, w: Subspace) -> float:
     _check_pair(v, w)
     if v.dim == 0:
         raise DimensionError("directional distance requires a nonzero source")
-    p, q = v.dim, w.dim
-    s2 = float(np.sum(np.sin(principal_angles(v, w)) ** 2)) if q else 0.0
-    if p <= q:
-        return math.sqrt(s2)
-    return math.sqrt(p - q + s2)
+    s2 = float(np.sum(np.sin(principal_angles(v, w)) ** 2))
+    return math.sqrt(max(v.dim - w.dim, 0) + s2)
 
 
 def symmetric_distance(v: Subspace, w: Subspace) -> float:

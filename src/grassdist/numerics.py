@@ -40,8 +40,9 @@ class Tolerance:
         Absolute cutoff in radians for angle decisions.  The rule is
         inclusive at both ends: an angle theta reads as 0 when
         theta <= angle_tol and as pi/2 when theta >= pi/2 - angle_tol, so
-        at 0 exactly the angles 0.0 and pi/2 do.  A containment residual
-        counts as 0 when it is at most angle_tol.
+        at 0 exactly the angles 0.0 and pi/2 do.  Containment reads the
+        same rule: W contains V when dim V <= dim W and every principal
+        angle of the pair reads as 0.
     """
 
     rank_tol: float = 1e-10

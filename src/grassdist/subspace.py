@@ -102,13 +102,12 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def contains(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
-        """True when every basis vector of ``other`` lies in this subspace
-        (projector residual at most angle_tol)."""
+        """True when ``other`` lies in this subspace: it is no larger and
+        every principal angle of the pair reads as 0, the count Psi reads
+        as dim(V & W).  {0} lies in every subspace."""
         _check_pair(self, other)
-        if other.dim == 0:
-            return True
-        resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        return float(np.linalg.norm(resid)) <= tol.angle_tol
+        return (other.dim <= self.dim
+                and _count_zero(principal_angles(other, self), tol) == other.dim)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, "
@@ -144,12 +143,12 @@ def principal_decomposition(v: Subspace, w: Subspace) -> PrincipalDecomposition:
     Both subspaces must be nonzero; callers apply the {0} conventions
     before calling.
     """
-    _check_pair(v, w)
+    theta = principal_angles(v, w)  # the kernel checks the pair
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("principal decomposition requires nonzero subspaces")
     e, f = v.basis, w.basis
     u, _, vh = np.linalg.svd(e.conj().T @ f, full_matrices=True)
-    return PrincipalDecomposition(principal_angles(v, w), e @ u, f @ vh.conj().T)
+    return PrincipalDecomposition(theta, e @ u, f @ vh.conj().T)
 
 
 def _larger_first(v: Subspace, w: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +214,7 @@ def is_partially_orthogonal(v: Subspace, w: Subspace,
     _check_pair(v, w)
     if v.dim == 0:
         return False
-    if w.dim == 0 or w.dim < v.dim:
+    if w.dim < v.dim:
         return True
     return _count_right(principal_angles(v, w), tol) > 0
 

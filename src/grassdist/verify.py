@@ -11,6 +11,9 @@ the exterior route up to ``AMBIENT_CAP``, the Gram route up to
 
 The checks of one call share a pair table (``_PairTable``) of completed
 bases, principal angles and Plücker sums; nothing in it outlives the call.
+On the corpus a call builds the corpus once and one table per ambient
+dimension and field, and the golden check reads its angles from those
+tables too, so every pair's angles are computed once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import exterior
-from .angles import (ORACLES, AngleRoute, _principal_values, angle_report,
-                     pythagorean_sum)
+from .angles import ORACLES, AngleRoute, _principal_values, pythagorean_sum
 from .errors import NumericalDegeneracyError
 from .exterior import AMBIENT_CAP, _angles_from_sums
 from .metrics import METRICS, extension_from_angles
@@ -63,10 +65,6 @@ class _PairTable(list):
             self._completions[i] = complete_basis(self[i][1].basis)
         return self._completions[i]
 
-    @classmethod
-    def of(cls, pairs) -> _PairTable:
-        return pairs if isinstance(pairs, cls) else cls(pairs)
-
     def angles(self, i: int, j: int) -> np.ndarray:
         i, j = min(i, j), max(i, j)
         if (i, j) not in self._angles:
@@ -95,16 +93,21 @@ def _left_out(name: str, n: int) -> CheckResult:
                        f"subsets, capped at ambient {AMBIENT_CAP}")
 
 
-def _check_golden(tol: Tolerance) -> CheckResult:
+def _check_golden(golden, tables: dict, tol: Tolerance) -> CheckResult:
+    """Each golden pair's values from the angles in the pair table that
+    holds both sides, derived as ``angle_report`` derives them."""
     worst = 0.0
     culprit = ""
-    for g in corpus_mod.corpus():
-        report = angle_report(g.v, g.w, tol=tol)
-        for key in ("theta_vw", "theta_wv", "upsilon", "psi"):
+    for g in golden:
+        table = tables[g.v.ambient_dim, g.v.field]
+        ids = [name for name, _ in table]
+        theta = table.angles(ids.index(f"{g.name}:V"), ids.index(f"{g.name}:W"))
+        values = _principal_values(g.v, g.w, theta, tol)
+        for key, got in zip(("theta_vw", "theta_wv", "upsilon", "psi"), values):
             want = getattr(g, key)
             if want is None:
                 continue
-            err = abs(getattr(report, key) - want)
+            err = abs(got - want)
             if err > worst:
                 worst, culprit = err, f"{g.name}.{key}"
     passed = worst <= tol.angle_tol
@@ -130,7 +133,6 @@ def _check_pythagorean(pairs, tol: Tolerance) -> CheckResult:
 def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
     if _ambient(pairs) > AMBIENT_CAP:
         return _left_out("sine_identity", _ambient(pairs))
-    pairs = _PairTable.of(pairs)
     worst, culprit = 0.0, "none"
     for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
         if v.dim == 0 or w.dim == 0:
@@ -147,7 +149,6 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
 def _check_routes(pairs, tol: Tolerance) -> CheckResult:
     # each oracle route has a leg that enumerates subsets, so it runs only
     # up to its cap
-    pairs = _PairTable.of(pairs)
     n = _ambient(pairs)
     routes = [AngleRoute.PRINCIPAL] + [r for r, (_, cap) in ORACLES.items()
                                        if n <= cap]
@@ -177,7 +178,6 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
-    pairs = _PairTable.of(pairs)
     perps = _PairTable([(vid, Subspace(v.ambient_dim, v.field,
                                        pairs.completion(i)[:, v.dim:]))
                         for i, (vid, v) in enumerate(pairs)])
@@ -191,7 +191,6 @@ def _check_perp_duality(pairs, tol: Tolerance) -> CheckResult:
 
 
 def _check_triangle(pairs, seed: int) -> CheckResult:
-    pairs = _PairTable.of(pairs)
     ids = [name for name, _ in pairs]
     subs = [s for _, s in pairs]
     k = len(subs)
@@ -224,31 +223,30 @@ def run_verification(pairs=None, tol: Tolerance = DEFAULT_TOL,
                      seed: int = 0) -> list[CheckResult]:
     """Run every identity suite; ``pairs`` is a list of (id, Subspace), or
     None for the built-in corpus (which adds the golden-value check)."""
-    results = []
-    if pairs is None:
-        results.append(_guarded("golden_angles", _check_golden, tol))
-        named = []
-        for g in corpus_mod.corpus():
-            named.append((f"{g.name}:V", g.v))
-            named.append((f"{g.name}:W", g.w))
-        # exact corpus values alone cannot exercise the tolerance: add a
-        # few seeded generic subspaces, whose identities hold only to
-        # ordinary SVD accuracy
-        rng = np.random.default_rng(seed)
-        for i, (n, field) in enumerate([(5, Field.REAL), (4, Field.COMPLEX)]):
-            for j in range(3):
-                dim = int(rng.integers(1, n))
-                named.append((f"sampled{i}{j}",
-                              random_subspace(n, dim, field,
-                                              int(rng.integers(2 ** 63)))))
-        # identity suites run per ambient dimension and field
-        groups: dict[tuple, list] = {}
-        for name, sub in named:
-            groups.setdefault((sub.ambient_dim, sub.field), []).append((name, sub))
-        for group in groups.values():
-            _merge(results, _run_identity_checks(group, tol, seed))
-    else:
-        _merge(results, _run_identity_checks(pairs, tol, seed))
+    if pairs is not None:
+        return _run_identity_checks(_PairTable(pairs), tol, seed)
+    golden = corpus_mod.corpus()
+    named = [(f"{g.name}:{side}", s) for g in golden
+             for side, s in (("V", g.v), ("W", g.w))]
+    # exact corpus values alone cannot exercise the tolerance: add a few
+    # seeded generic subspaces, whose identities hold only to ordinary SVD
+    # accuracy
+    rng = np.random.default_rng(seed)
+    for i, (n, field) in enumerate([(5, Field.REAL), (4, Field.COMPLEX)]):
+        for j in range(3):
+            dim = int(rng.integers(1, n))
+            named.append((f"sampled{i}{j}",
+                          random_subspace(n, dim, field,
+                                          int(rng.integers(2 ** 63)))))
+    # one pair table per ambient dimension and field, shared by the golden
+    # check and the identity suites
+    tables: dict[tuple, _PairTable] = {}
+    for name, sub in named:
+        tables.setdefault((sub.ambient_dim, sub.field), _PairTable([])).append(
+            (name, sub))
+    results = [_guarded("golden_angles", _check_golden, golden, tables, tol)]
+    for table in tables.values():
+        _merge(results, _run_identity_checks(table, tol, seed))
     return results
 
 
@@ -263,8 +261,8 @@ def _guarded(name: str, fn, *args) -> CheckResult:
                            worst=float("inf"))
 
 
-def _run_identity_checks(pairs, tol: Tolerance, seed: int) -> list[CheckResult]:
-    pairs = _PairTable(pairs)
+def _run_identity_checks(pairs: _PairTable, tol: Tolerance,
+                         seed: int) -> list[CheckResult]:
     return [
         _guarded("pythagorean_identity", _check_pythagorean, pairs, tol),
         _guarded("sine_identity", _check_sine_identity, pairs, tol),

@@ -434,6 +434,21 @@ class TestMatrixCommand:
         # machine-precision value of sin(arccos(1/6))
         assert values[0][1] == pytest.approx(math.sqrt(35) / 6, abs=1e-15)
 
+    def test_infinite_entry_is_strict_json_null(self, tmp_path, capsys):
+        # V = span(e1, e2) and W = span(e2, e3) meet at an exact right angle,
+        # so Martin's quantity is infinite both ways
+        path = write_file(tmp_path, {
+            "field": "real", "ambient_dim": 3,
+            "subspaces": [{"id": "V", "vectors": [[1, 0, 0], [0, 1, 0]]},
+                          {"id": "W", "vectors": [[0, 1, 0], [0, 0, 1]]}]})
+        assert main(["matrix", path, "--metric", "martin"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["values"] == [[0.0, None], [None, 0.0]]
+
     def test_paper_pair_off_diagonals(self, tmp_path, capsys):
         s2 = math.sqrt(2) / 2
         doc = {"field": "real", "ambient_dim": 5, "subspaces": [

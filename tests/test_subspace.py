@@ -240,7 +240,31 @@ class TestOneAngleSource:
                 assert project_onto(v, w, tol).dim == len(theta) - right
                 martin = diagnostic_quantities(v, w, tol)["martin"]
                 assert (martin == math.inf) == (right > 0)
+                # V lies in W: no larger, and every angle reads as 0
+                contained = p <= q and bool(np.all(theta <= cutoff))
+                assert w.contains(v, tol) == contained
 
+
+class TestContainment:
+    def test_each_angle_below_the_cutoff_is_containment(self):
+        # both angles are 8e-10 and read as 0, so Psi's r = dim V, though
+        # their root sum of squares, 1.13e-9, is above the cutoff
+        v = Subspace.from_columns([[1, 0], [0, 1], [0, 0], [8e-10, 0], [0, 8e-10]], R)
+        w = Subspace.from_columns(np.eye(5)[:, :3], R)
+        assert np.all(principal_angles(v, w) <= Tolerance().angle_tol)
+        assert w.contains(v)
+        assert not v.contains(w)
+
+    def test_zero_and_larger_subspaces(self, field):
+        zero, line, full = (random_subspace(3, d, field, 3) for d in (0, 1, 3))
+        for sub in (zero, line, full):
+            assert sub.contains(zero)
+        # at a cutoff of pi/2 every angle reads as 0, yet a larger subspace
+        # never lies in a smaller one
+        wide = Tolerance(angle_tol=math.pi / 2)
+        assert full.contains(line, wide)
+        assert not zero.contains(line, wide)
+        assert not line.contains(full, wide)
 
 
 class TestZeroCutoff:

@@ -47,7 +47,7 @@ def test_route_check_takes_one_readout_per_ordered_pair(monkeypatch):
     from grassdist import exterior
     calls = counting(monkeypatch, exterior, "plucker_sums")
     pairs = r8_pairs()
-    result = verify._check_routes(pairs, DEFAULT_TOL)
+    result = verify._check_routes(verify._PairTable(pairs), DEFAULT_TOL)
     assert result.passed
     assert result.detail.startswith("3 routes")
     assert len(calls) == len(pairs) * (len(pairs) - 1)
@@ -57,7 +57,7 @@ def test_route_check_builds_the_gram_blocks_once_per_ordered_pair(monkeypatch):
     import grassdist.angles as angles_mod
     calls = counting(monkeypatch, angles_mod, "_gram_blocks")
     pairs = r8_pairs()
-    assert verify._check_routes(pairs, DEFAULT_TOL).passed
+    assert verify._check_routes(verify._PairTable(pairs), DEFAULT_TOL).passed
     assert len(calls) == len(pairs) * (len(pairs) - 1)
 
 
@@ -77,7 +77,7 @@ def test_an_oracle_report_takes_one_readout_per_direction(monkeypatch, route,
 
 def test_route_check_names_its_worst_pair_and_quantity():
     pairs = r8_pairs()
-    result = verify._check_routes(pairs, DEFAULT_TOL)
+    result = verify._check_routes(verify._PairTable(pairs), DEFAULT_TOL)
     m = re.search(r"\((\w+) (\S+)->(\S+), (\w+) vs (\w+)\)$", result.detail)
     assert m, result.detail
     quantity, vid, wid, ra, rb = m.groups()
@@ -105,7 +105,7 @@ def test_triangle_check_names_its_worst_triple_and_metric():
             groups.setdefault(key, []).append((f"{g.name}:{side}", s))
     named = 0
     for pairs in groups.values():
-        tri = verify._check_triangle(pairs, 1)
+        tri = verify._check_triangle(verify._PairTable(pairs), 1)
         if tri.worst == 0:
             continue
         named += 1
@@ -124,7 +124,7 @@ def test_triangle_check_names_its_worst_triple_and_metric():
 def test_checks_without_a_culprit_say_none():
     # {0} and the whole space: every triangle holds exactly
     pairs = [(f"e{k}", random_subspace(3, k, R, 1)) for k in (0, 3)]
-    tri = verify._check_triangle(pairs, 0)
+    tri = verify._check_triangle(verify._PairTable(pairs), 0)
     assert tri.worst == 0.0
     assert tri.detail.endswith("(none)")
 
@@ -134,7 +134,7 @@ def test_route_check_runs_the_exterior_route_up_to_its_cap(ambient, routes):
     # the exterior oracle covers every ambient dimension up to AMBIENT_CAP
     # (14); above it the check compares the other two routes and raises
     pairs = [(f"v{d}", random_subspace(ambient, d, R, d)) for d in (1, 2, 4)]
-    result = verify._check_routes(pairs, DEFAULT_TOL)
+    result = verify._check_routes(verify._PairTable(pairs), DEFAULT_TOL)
     assert result.detail.startswith(routes), result.detail
     assert result.passed
 
@@ -200,13 +200,37 @@ def unordered(calls):
     return [frozenset((id(v), id(w))) for v, w in calls]
 
 
-def test_verify_takes_the_principal_angles_once_per_unordered_pair(monkeypatch):
+def kernel_pairs_and_builds(monkeypatch, pairs):
+    """Run ``verify`` on ``pairs`` (None for the corpus), which must pass;
+    returns the unordered pair of each kernel call and the number of
+    ``Subspace.from_columns`` calls."""
     from grassdist import subspace
     calls = counting_everywhere(monkeypatch, subspace, "principal_angles")
-    results = verify.run_verification(r8_pairs(), DEFAULT_TOL, 1)
+    built = []
+    from_columns = subspace.Subspace.from_columns.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(1)
+        return from_columns(cls, *args, **kwargs)
+
+    monkeypatch.setattr(subspace.Subspace, "from_columns", classmethod(counted))
+    results = verify.run_verification(pairs, DEFAULT_TOL, 1)
     assert all(r.passed for r in results)
-    keys = unordered(calls)
+    return unordered(calls), len(built)
+
+
+def test_verify_takes_the_principal_angles_once_per_unordered_pair(monkeypatch):
+    keys, builds = kernel_pairs_and_builds(monkeypatch, r8_pairs())
     assert keys and len(keys) == len(set(keys))
+    assert builds == 0
+
+
+def test_a_corpus_verify_builds_each_subspace_once_and_each_pair_once(monkeypatch):
+    spanning_sets = 2 * len(corpus.corpus())
+    keys, builds = kernel_pairs_and_builds(monkeypatch, None)
+    # the golden check reads the identity checks' pair tables
+    assert keys and len(keys) == len(set(keys))
+    assert builds == spanning_sets
 
 
 def test_verify_takes_one_plucker_readout_per_ordered_pair(monkeypatch):
@@ -266,7 +290,7 @@ def test_pythagorean_identity_names_its_worst_subspace():
 def test_sine_identity_names_its_worst_pair():
     from conftest import sine_identity_sides
     pairs = r8_pairs()
-    result = verify._check_sine_identity(pairs, DEFAULT_TOL)
+    result = verify._check_sine_identity(verify._PairTable(pairs), DEFAULT_TOL)
     m = re.search(r"\((\S+)->(\S+)\)$", result.detail)
     assert m, result.detail
     errors = {}
@@ -280,7 +304,7 @@ def test_perp_duality_names_its_worst_pair():
     from grassdist.angles import asymmetric_angle
     from grassdist.subspace import orthogonal_complement
     pairs = r8_pairs()
-    result = verify._check_perp_duality(pairs, DEFAULT_TOL)
+    result = verify._check_perp_duality(verify._PairTable(pairs), DEFAULT_TOL)
     m = re.search(r"\((\S+)->(\S+)\)$", result.detail)
     assert m, result.detail
     errors = {}
