@@ -42,11 +42,27 @@ def _ortho_deviation(b: np.ndarray) -> float:
         return np.max(np.abs(gram(b) - np.eye(b.shape[1])))
 
 
+def _is_orthonormal(b: np.ndarray) -> bool:
+    """``_ortho_deviation(b) <= _ORTHO_TOL``, with a cheap O(nk) pre-check
+    first: the squared column norms are the Gram diagonal summed another
+    way, so a norm off 1 by more than twice the slack (the factor covers
+    the roundoff between the two sums) already fails the full check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->j", b.conj(), b).real
+    if not np.all(np.abs(sq - 1.0) <= 2 * _ORTHO_TOL):
+        return False
+    return _ortho_deviation(b) <= _ORTHO_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F^n held as an orthonormal column basis.
 
     ``was_reduced`` flags construction from a rank-deficient spanning set.
+    The bare constructor checks its basis: within ``_ORTHO_TOL`` of
+    orthonormal, finite, and real under ``Field.REAL``.  Spanning sets go
+    through :meth:`from_columns`, which makes one orthonormality decision
+    per set and does not check again the basis it builds.
     """
 
     ambient_dim: int
@@ -61,6 +77,9 @@ class Subspace:
                                  f"dimension {self.ambient_dim}")
         if b.shape[1] > self.ambient_dim:
             raise DimensionError("more basis columns than ambient dimensions")
+        # as_matrix's rule: a real-field basis holds no imaginary part
+        if self.field is Field.REAL and np.iscomplexobj(b) and np.any(b.imag):
+            raise DimensionError("complex entries are not allowed in a real-field basis")
         if b.shape[1]:
             dev = _ortho_deviation(b)
             if not dev <= _ORTHO_TOL:  # a NaN deviation fails too
@@ -69,28 +88,49 @@ class Subspace:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _orthonormal(cls, basis: np.ndarray, field: Field,
+                     was_reduced: bool = False) -> "Subspace":
+        """A subspace on ``basis`` as it is, without the constructor's
+        checks.  Only for a finite basis of the field's dtype that is
+        orthonormal to roundoff by construction: one that has just passed
+        the check in :meth:`from_columns`, an output of ``orthonormalize``,
+        or the identity.  Principal bases, completions, complements, splits
+        and ``underlying_real`` are built from a caller's basis, which may
+        be up to ``_ORTHO_TOL`` off orthonormal, so they keep the check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", basis.shape[0])
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "was_reduced", was_reduced)
+        return self
+
+    @classmethod
     def zero(cls, ambient_dim: int, field: Field) -> "Subspace":
         return cls(ambient_dim, field, np.zeros((ambient_dim, 0), dtype=field.dtype))
 
     @classmethod
     def full(cls, ambient_dim: int, field: Field) -> "Subspace":
-        return cls(ambient_dim, field, np.eye(ambient_dim, dtype=field.dtype))
+        return cls._orthonormal(np.eye(ambient_dim, dtype=field.dtype), field)
 
     @classmethod
     def from_columns(cls, columns, field: Field,
                      tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         """Build a subspace from spanning columns, orthonormalizing at the
         boundary.  Rank-deficient input is accepted and reduces the
-        dimension, with ``was_reduced`` set on the result."""
+        dimension, with ``was_reduced`` set on the result.
+
+        One orthonormality decision per set: columns within ``_ORTHO_TOL``
+        of orthonormal are kept verbatim, anything else goes through
+        ``orthonormalize``.  Neither basis is checked again."""
         cols = as_matrix(columns, field)
         n, k = cols.shape
         if k == 0:
             return cls.zero(n, field)
-        if _ortho_deviation(cols) <= _ORTHO_TOL:
-            return cls(n, field, cols)
+        if _is_orthonormal(cols):
+            return cls._orthonormal(cols, field)
         basis = orthonormalize(cols, tol.rank_tol)
-        return cls(n, field, basis.astype(field.dtype, copy=False),
-                   was_reduced=basis.shape[1] < k)
+        return cls._orthonormal(basis.astype(field.dtype, copy=False), field,
+                                was_reduced=basis.shape[1] < k)
 
     # -- basic structure ----------------------------------------------
 
@@ -302,7 +342,7 @@ def random_subspace(ambient_dim: int, dim: int, field: Field, seed: int) -> Subs
     g = rng.standard_normal((ambient_dim, dim))
     if field is Field.COMPLEX:
         g = g + 1j * rng.standard_normal((ambient_dim, dim))
-    return Subspace(ambient_dim, field, orthonormalize(g))
+    return Subspace._orthonormal(orthonormalize(g), field)
 
 
 def random_unitary(ambient_dim: int, field: Field, seed: int) -> np.ndarray:

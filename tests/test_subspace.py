@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from grassdist import corpus, subspace
 from grassdist.errors import DimensionError, NumericalDegeneracyError
-from grassdist.numerics import Field, Tolerance, gram
+from grassdist.numerics import Field, Tolerance, gram, orthonormalize
 from grassdist.angles import angle_report, supplementation_angle
 from grassdist.metrics import diagnostic_quantities
 from grassdist.subspace import (Subspace, complete_basis,
@@ -63,6 +64,89 @@ class TestSubspaceConstruction:
                       [[math.inf, 0.0], [0.0, 1.0], [0.0, 0.0]]):
             with pytest.raises(DimensionError):
                 Subspace(3, R, np.array(basis))
+
+    def test_real_field_rejects_an_imaginary_basis(self):
+        # 1j * e1 is orthonormal over C; under REAL its vector would be
+        # written out as its real part, the zero vector
+        e1 = np.array([[1.0], [0.0], [0.0]])
+        with pytest.raises(DimensionError):
+            Subspace(3, R, 1j * e1)
+        assert Subspace(3, C, 1j * e1).dim == 1
+
+
+@pytest.fixture
+def deviation_calls(monkeypatch):
+    """The shape of each basis ``subspace._ortho_deviation`` checks, in
+    call order."""
+    calls = []
+    real = subspace._ortho_deviation
+
+    def counting(b):
+        calls.append(b.shape)
+        return real(b)
+
+    monkeypatch.setattr(subspace, "_ortho_deviation", counting)
+    return calls
+
+
+class TestOneOrthonormalityDecision:
+    """``from_columns`` decides once per spanning set whether to keep it,
+    and the package does not check again a basis it built itself."""
+
+    def test_gaussian_sets_take_no_gram_check(self, rng, field, deviation_calls):
+        base = random_matrix(rng, 6, 3, field)
+        for cols in (base, np.concatenate([base, base[:, :1]], axis=1),
+                     base * 1e300, base * 1e-300):
+            Subspace.from_columns(cols, field)
+        assert deviation_calls == []
+
+    def test_an_orthonormal_set_takes_one(self, field, deviation_calls):
+        q = random_subspace(6, 3, field, 5).basis
+        deviation_calls.clear()
+        Subspace.from_columns(q, field)
+        assert deviation_calls == [(6, 3)]
+
+    def test_built_bases_take_none(self, field, deviation_calls):
+        random_subspace(6, 3, field, 5)
+        random_unitary(4, field, 5)
+        Subspace.full(5, field)
+        assert deviation_calls == []
+
+    @pytest.mark.parametrize("delta", [0.5e-10, 0.99e-10, 1.01e-10, 1.5e-10, 2.5e-10])
+    @pytest.mark.parametrize("way", ["diagonal", "off_diagonal"])
+    def test_kept_verbatim_exactly_by_the_rule(self, field, way, delta):
+        cols = random_subspace(6, 3, field, 11).basis.copy()
+        if way == "diagonal":  # column 0's squared norm moves by delta
+            cols[:, 0] *= math.sqrt(1 + delta)
+        else:  # shear: <col 0, col 1> becomes delta
+            cols[:, 1] += delta * cols[:, 0]
+        kept = np.max(np.abs(cols.conj().T @ cols - np.eye(3))) <= 1e-10
+        assert kept == (delta < 1e-10)
+        v = Subspace.from_columns(cols, field)
+        expected = cols if kept else orthonormalize(cols)
+        assert np.array_equal(v.basis, expected) and not v.was_reduced
+
+    def test_built_bases_are_orthonormal_to_roundoff(self, field):
+        # Bound: a backward-stable SVD returns U and V orthonormal to a small
+        # multiple of n * eps, and the polar factor U V^H adds a few more
+        # roundings per entry; over these sets the worst deviation seen was
+        # 3.5 n * eps, so 10 n * eps leaves room without admitting 1e-10.
+        rng = np.random.default_rng(2208)
+        eps = np.finfo(float).eps
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            k = int(rng.integers(1, n + 1))
+            rank = int(rng.integers(1, k + 1))  # a set with rank < k is reduced
+            cols = random_matrix(rng, n, rank, field) @ rng.standard_normal((rank, k))
+            cols = cols * 10.0 ** rng.uniform(-2, 2, k) * 10.0 ** rng.uniform(-300, 300)
+            built = ((Subspace.from_columns(cols, field), rank, rank < k),
+                     (random_subspace(n, k, field, int(rng.integers(2**31))), k, False))
+            for v, dim, reduced in built:
+                assert v.basis.dtype == field.dtype and v.basis.shape == (n, dim)
+                assert v.was_reduced == reduced
+                assert subspace._ortho_deviation(v.basis) <= 10 * n * eps
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    v.basis = np.eye(n)
 
 
 class TestPrincipalDecomposition:
