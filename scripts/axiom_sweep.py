@@ -35,7 +35,7 @@ def sweep(triples: int, ambient: int, field: Field, seed: int):
             theta[a, b] = theta[b, a] = principal_angles(subs[a], subs[b])
         for name, desc in METRICS.items():
             d = {(a, b): extension_from_angles(desc, theta[a, b],
-                                               subs[a].dim, subs[b].dim).value
+                                               subs[a].dim, subs[b].dim)
                  for a, b in itertools.permutations(range(3), 2)}
             for a, b, c in itertools.permutations(range(3), 3):
                 slack = d[a, b] + d[b, c] - d[a, c]

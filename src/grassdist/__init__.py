@@ -6,7 +6,7 @@ from .angles import (AngleReport, AngleRoute, angle_report, asymmetric_angle,
                      supplementation_angle)
 from .errors import (DegenerateBasisError, DimensionError, GrassdistError,
                      NumericalDegeneracyError)
-from .metrics import (DIAGNOSTICS, METRICS, DistanceResult, ExtensionCase,
+from .metrics import (DIAGNOSTICS, METRICS,
                       MetricDescriptor, asymmetric_distance, containment_gap,
                       diagnostic_quantities, directional_distance,
                       equal_dim_distance, gap, make_equality_triple,
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleReport", "AngleRoute", "DEFAULT_TOL", "DIAGNOSTICS",
-    "DegenerateBasisError", "DimensionError", "DistanceResult",
-    "ExtensionCase", "Field", "GrassdistError", "METRICS",
+    "DegenerateBasisError", "DimensionError",
+    "Field", "GrassdistError", "METRICS",
     "MetricDescriptor", "NumericalDegeneracyError", "PrincipalDecomposition",
     "Subspace", "Tolerance", "angle_report", "asymmetric_angle",
     "asymmetric_distance", "containment_gap", "diagnostic_quantities",

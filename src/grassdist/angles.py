@@ -197,7 +197,7 @@ def asymmetric_angle(v: Subspace, w: Subspace) -> float:
     extension of the principal angles; pi/2 whenever dim V > dim W and 0
     for V = {0}.  The oracle routes are read through :func:`angle_report`.
     """
-    return asymmetric_distance(_FUBINI_STUDY, v, w).value
+    return asymmetric_distance(_FUBINI_STUDY, v, w)
 
 
 def _projection_factor(theta: float, field: Field) -> float:
@@ -314,8 +314,8 @@ def _principal_values(v: Subspace, w: Subspace, theta: np.ndarray,
                       tol: Tolerance) -> tuple[float, float, float, float]:
     """Theta(V, W), Theta(W, V), Upsilon and Psi from the principal angles
     ``theta``, exactly as the standalone functions derive them."""
-    return (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim).value,
-            extension_from_angles(_FUBINI_STUDY, theta, w.dim, v.dim).value,
+    return (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim),
+            extension_from_angles(_FUBINI_STUDY, theta, w.dim, v.dim),
             _sine_product_angle(theta),
             _psi_principal(v, w, theta, tol))
 

@@ -78,7 +78,7 @@ def cmd_angles(args) -> int:
     print(f"  principal angles (deg):  [{pa}]")
     # Theta from the principal angles; on an oracle route theta_vw is the oracle's
     theta = extension_from_angles(METRICS["fubini_study"],
-                                  report.principal_angles, p, q).value
+                                  report.principal_angles, p, q)
     print(f"  projection factor:       {_projection_factor(theta, sfile.field)!r}")
     if report.psi_ill_conditioned:
         print("  note: psi case decision is near-degenerate "
@@ -88,13 +88,13 @@ def cmd_angles(args) -> int:
 
 def _matrix_entry(name: str, v, w, tol: Tolerance) -> float:
     if name in METRICS:
-        return asymmetric_distance(METRICS[name], v, w).value
+        return asymmetric_distance(METRICS[name], v, w)
     if name == "containment_gap":
         return containment_gap(v, w)
     if name == "gap":
         return gap(v, w)
     if name == "directional":
-        return 0.0 if v.dim == 0 else directional_distance(v, w)
+        return directional_distance(v, w)
     if name == "symmetric":
         return symmetric_distance(v, w)
     return diagnostic_quantities(v, w, tol)[name]

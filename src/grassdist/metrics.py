@@ -6,6 +6,8 @@ subspaces of every dimension: from V (dim p) to W (dim q) the distance is
 f_p(theta_1, .., theta_p) when 0 < p <= q, the diameter of the p-th
 Grassmannian when p > q, and 0 when p = 0.  The infimum characterizing the
 extension is never searched: the closed form above provably attains it.
+Every distance is a plain float; which of the three cases gave it is a
+function of (p, q) alone, so nothing else is returned.
 
 The Fubini-Study extension is Theta, atan2(sqrt(1 - prod cos^2), prod cos);
 Binet-Cauchy is sin Theta.  No f_p takes arccos or arcsin of a product or
@@ -18,7 +20,6 @@ symmetrization helpers.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,15 +36,15 @@ _HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class MetricDescriptor:
-    """A named metric family: ``f_p`` maps a principal-angle array to the
-    distance, ``diam`` gives the supremum over p-subspace pairs in every
-    ambient dimension (the value assigned when containment is impossible).
+    """A metric family, named by its ``METRICS`` key: ``f_p`` maps a
+    principal-angle array to the distance, ``diam`` gives the supremum over
+    p-subspace pairs in every ambient dimension (the value assigned when
+    containment is impossible).
 
     ``f_p`` is nondecreasing in each angle and stable under zero-angle
     prefixes, which is what makes the asymmetric extension a metric.
     """
 
-    name: str
     f_p: Callable[[np.ndarray], float]
     diam: Callable[[int], float]
     units: str  # "radians" or "dimensionless"
@@ -75,30 +76,15 @@ for _name, _f, _diam, _units in [
     ("chordal_2norm", _d_chordal_2norm, lambda p: math.sqrt(2), "dimensionless"),
     ("projection_2norm", _d_projection_2norm, lambda p: 1.0, "dimensionless"),
 ]:
-    METRICS[_name] = MetricDescriptor(_name, _f, _diam, _units)
+    METRICS[_name] = MetricDescriptor(_f, _diam, _units)
 
 # Defense against formula typos: the hardcoded diameters must equal
 # f_p(pi/2, .., pi/2).
-for _desc in METRICS.values():
+for _name, _desc in METRICS.items():
     for _p in range(1, 9):
-        assert abs(_desc.diam(_p) - _desc.f_p(np.full(_p, _HALF_PI))) < 1e-12, _desc.name
+        assert abs(_desc.diam(_p) - _desc.f_p(np.full(_p, _HALF_PI))) < 1e-12, _name
 
 DIAGNOSTICS = ("max_correlation", "martin")
-
-
-class ExtensionCase(enum.Enum):
-    EQUAL_DIM = "equal_dim"
-    LOW_TO_HIGH = "low_to_high"
-    HIGH_TO_LOW_DIAMETER = "high_to_low_diameter"
-    ZERO_FROM = "zero_from"
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    value: float
-    metric: str
-    direction: tuple[int, int]  # (dim from, dim to)
-    case: ExtensionCase
 
 
 def equal_dim_distance(name: str, v: Subspace, w: Subspace) -> float:
@@ -112,26 +98,25 @@ def equal_dim_distance(name: str, v: Subspace, w: Subspace) -> float:
 
 
 def extension_from_angles(desc: MetricDescriptor, theta: np.ndarray,
-                          dim_from: int, dim_to: int) -> DistanceResult:
-    """Asymmetric extension evaluated from precomputed principal angles.
+                          dim_from: int, dim_to: int) -> float:
+    """Asymmetric extension evaluated from precomputed principal angles:
+    0 when dim_from = 0, the diameter when dim_from > dim_to, f_p(theta)
+    otherwise.
 
     ``theta`` must hold the min(dim_from, dim_to) principal angles of the
     pair; it is ignored in the zero-source and diameter cases.
     """
     if dim_from == 0:
-        case, value = ExtensionCase.ZERO_FROM, 0.0
-    elif dim_from > dim_to:
-        case, value = ExtensionCase.HIGH_TO_LOW_DIAMETER, desc.diam(dim_from)
-    else:
-        case = (ExtensionCase.EQUAL_DIM if dim_from == dim_to
-                else ExtensionCase.LOW_TO_HIGH)
-        value = desc.f_p(np.asarray(theta))
-    return DistanceResult(value, desc.name, (dim_from, dim_to), case)
+        return 0.0
+    if dim_from > dim_to:
+        return desc.diam(dim_from)
+    return desc.f_p(np.asarray(theta))
 
 
 def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace,
-                        w: Subspace) -> DistanceResult:
-    """Asymmetric extension of a metric family from V to W."""
+                        w: Subspace) -> float:
+    """Asymmetric extension of a metric family from V to W, as a float:
+    see :func:`extension_from_angles` for its three cases."""
     if isinstance(desc, str):
         desc = METRICS[desc]
     _check_pair(v, w)
@@ -148,7 +133,7 @@ def containment_gap(v: Subspace, w: Subspace) -> float:
     """How far V is from being contained in W: sin of the largest principal
     angle when dim V <= dim W, 1 otherwise; zero exactly for V inside W.
     This is the asymmetric extension of the projection 2-norm metric."""
-    return asymmetric_distance(METRICS["projection_2norm"], v, w).value
+    return asymmetric_distance(METRICS["projection_2norm"], v, w)
 
 
 def gap(v: Subspace, w: Subspace) -> float:
@@ -161,21 +146,17 @@ def gap(v: Subspace, w: Subspace) -> float:
 
 
 def directional_distance(v: Subspace, w: Subspace) -> float:
-    """l2 size of the residuals of an orthonormal V-basis projected on W."""
+    """l2 size of the residuals of an orthonormal V-basis projected on W:
+    sqrt(max(p - q, 0) + sum sin^2 theta_i), which is 0 for V = {0}."""
     _check_pair(v, w)
-    if v.dim == 0:
-        raise DimensionError("directional distance requires a nonzero source")
     s2 = float(np.sum(np.sin(principal_angles(v, w)) ** 2))
     return math.sqrt(max(v.dim - w.dim, 0) + s2)
 
 
 def symmetric_distance(v: Subspace, w: Subspace) -> float:
     """max of the two directional distances: sqrt(|p - q| + sum sin^2 theta_i),
-    the one taken from the higher-dimensional side."""
-    _check_pair(v, w)
-    if v.dim < w.dim:
-        v, w = w, v
-    return directional_distance(v, w) if v.dim else 0.0
+    the directional distance from the larger side (0 when both are {0})."""
+    return directional_distance(v, w) if v.dim >= w.dim else directional_distance(w, v)
 
 
 def diagnostic_quantities(v: Subspace, w: Subspace,

@@ -72,6 +72,8 @@ class Subspace:
 
     def __post_init__(self) -> None:
         b = self.basis
+        if not isinstance(b, np.ndarray):
+            raise DimensionError(f"basis must be a numpy array, not {type(b).__name__}")
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise DimensionError(f"basis shape {b.shape} does not match ambient "
                                  f"dimension {self.ambient_dim}")

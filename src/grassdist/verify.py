@@ -80,7 +80,7 @@ class _PairTable(list):
     def theta(self, i: int, j: int) -> float:
         """Theta(V_i, V_j), as ``asymmetric_angle`` derives it."""
         return extension_from_angles(METRICS["fubini_study"], self.angles(i, j),
-                                     self[i][1].dim, self[j][1].dim).value
+                                     self[i][1].dim, self[j][1].dim)
 
 
 def _ambient(pairs) -> int:
@@ -139,7 +139,7 @@ def _check_sine_identity(pairs, tol: Tolerance) -> CheckResult:
             continue
         lhs = pairs.plucker(i, j)[0][0]
         rhs = extension_from_angles(METRICS["binet_cauchy"], pairs.angles(i, j),
-                                    v.dim, w.dim).value ** 2
+                                    v.dim, w.dim) ** 2
         if abs(lhs - rhs) > worst:
             worst, culprit = abs(lhs - rhs), f"{vid}->{wid}"
     return CheckResult("sine_identity", worst <= tol.angle_tol,
@@ -208,7 +208,7 @@ def _check_triangle(pairs, seed: int) -> CheckResult:
         d = np.zeros((k, k))
         for a, b in needed:
             d[a, b] = extension_from_angles(desc, pairs.angles(a, b),
-                                            subs[a].dim, subs[b].dim).value
+                                            subs[a].dim, subs[b].dim)
         violation = d[u, w] - d[u, v] - d[v, w]
         if violation.size and violation.max() > worst:
             t = int(np.argmax(violation))

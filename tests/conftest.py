@@ -47,7 +47,7 @@ def sine_identity_sides(v, w):
     one of the ambient space: the exterior route's sine sum, then
     Binet-Cauchy squared from the principal angles."""
     (sin2_theta, _), _, _ = plucker_sums(v, complete_basis(w.basis), w.dim)
-    return sin2_theta, asymmetric_distance("binet_cauchy", v, w).value ** 2
+    return sin2_theta, asymmetric_distance("binet_cauchy", v, w) ** 2
 
 
 def spherical_pythagorean_sides(v, w, w_sub):

@@ -190,7 +190,7 @@ def test_criterion_2_asymmetric_metric_axioms():
             for name, desc in METRICS.items():
                 for a, b in itertools.permutations(range(3), 2):
                     dist[name, a, b] = extension_from_angles(
-                        desc, theta[a, b], subs[a].dim, subs[b].dim).value
+                        desc, theta[a, b], subs[a].dim, subs[b].dim)
             for name in METRICS:
                 for a, b, c in itertools.permutations(range(3), 3):
                     slack = (dist[name, a, b] + dist[name, b, c]
@@ -422,15 +422,15 @@ def test_criterion_7_extension_spot_values():
         for p, q in [(3, 1), (4, 2), (2, 0)]:
             v = random_subspace(6, p, field, 41)
             w = random_subspace(6, q, field, 42)
-            got = asymmetric_distance("geodesic", v, w).value
+            got = asymmetric_distance("geodesic", v, w)
             assert got == HALF_PI * math.sqrt(p)
     worst_gap = 0.0
     worst_bc = 0.0
     for field, seed in [(Field.REAL, 43), (Field.COMPLEX, 44)]:
         for v, w in _route_pairs(250, field, seed):
-            d_p2 = asymmetric_distance("projection_2norm", v, w).value
+            d_p2 = asymmetric_distance("projection_2norm", v, w)
             worst_gap = max(worst_gap, abs(d_p2 - containment_gap(v, w)))
-            d_bc = asymmetric_distance("binet_cauchy", v, w).value
+            d_bc = asymmetric_distance("binet_cauchy", v, w)
             worst_bc = max(worst_bc, abs(d_bc - math.sin(asymmetric_angle(v, w))))
     assert worst_gap <= 1e-9
     assert worst_bc <= 1e-9

@@ -172,11 +172,11 @@ class TestSmallAngles:
         v, w = _line_pair(angle, field)
         cos = math.cos(angle)
         assert _within_ulps(asymmetric_angle(v, w), angle)
-        assert _within_ulps(asymmetric_distance("fubini_study", v, w).value, angle)
+        assert _within_ulps(asymmetric_distance("fubini_study", v, w), angle)
         assert _within_ulps(disjointness_angle(v, w), angle)
-        assert _within_ulps(asymmetric_distance("binet_cauchy", v, w).value,
+        assert _within_ulps(asymmetric_distance("binet_cauchy", v, w),
                             math.sin(angle))
-        assert _within_ulps(asymmetric_distance("chordal_wedge", v, w).value,
+        assert _within_ulps(asymmetric_distance("chordal_wedge", v, w),
                             2 * math.sin(angle / 2))
         assert _within_ulps(projection_factor(v, w),
                             cos if field is R else cos * cos)
@@ -206,7 +206,7 @@ class TestSmallAngles:
                           random_subspace(n, q, field, 50 + q)))
         for v, w in pairs:
             assert asymmetric_angle(v, w) == asymmetric_distance(
-                "fubini_study", v, w).value
+                "fubini_study", v, w)
 
 
 class TestRouteAgreement:

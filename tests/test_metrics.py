@@ -6,7 +6,7 @@ import pytest
 from grassdist import corpus
 from grassdist.angles import asymmetric_angle
 from grassdist.errors import DimensionError
-from grassdist.metrics import (DIAGNOSTICS, METRICS, ExtensionCase,
+from grassdist.metrics import (DIAGNOSTICS, METRICS,
                                asymmetric_distance, containment_gap,
                                diagnostic_quantities, directional_distance,
                                equal_dim_distance, gap, make_equality_triple,
@@ -96,30 +96,43 @@ class TestEqualDimDistance:
 class TestAsymmetricExtension:
     def test_fubini_study_on_paper_pair(self):
         v, w = sub(corpus.REAL_PA_V), sub(corpus.REAL_PA_W)
-        fwd = asymmetric_distance("fubini_study", v, w)
-        bwd = asymmetric_distance("fubini_study", w, v)
-        assert fwd.value == pytest.approx(math.pi / 3, abs=1e-9)
-        assert fwd.case is ExtensionCase.LOW_TO_HIGH
-        assert bwd.value == pytest.approx(HALF_PI)
-        assert bwd.case is ExtensionCase.HIGH_TO_LOW_DIAMETER
+        assert asymmetric_distance("fubini_study", v, w) == pytest.approx(
+            math.pi / 3, abs=1e-9)
+        # dim V > dim W: the diameter
+        assert asymmetric_distance("fubini_study", w, v) == HALF_PI
 
     def test_containment_and_zero_cases(self, field):
         w = random_subspace(5, 3, field, 4)
         v = Subspace(5, field, w.basis[:, :2])
         z = Subspace.zero(5, field)
-        res = asymmetric_distance("projection_2norm", v, w)
-        assert res.value == pytest.approx(0, abs=1e-8)
-        res0 = asymmetric_distance("geodesic", z, w)
-        assert res0.value == 0.0 and res0.case is ExtensionCase.ZERO_FROM
-        resd = asymmetric_distance("geodesic", w, z)
-        assert resd.value == pytest.approx(HALF_PI * math.sqrt(3))
-        assert resd.case is ExtensionCase.HIGH_TO_LOW_DIAMETER
+        assert asymmetric_distance("projection_2norm", v, w) == pytest.approx(
+            0, abs=1e-8)
+        assert asymmetric_distance("geodesic", z, w) == 0.0
+        assert asymmetric_distance("geodesic", w, z) == pytest.approx(
+            HALF_PI * math.sqrt(3))
+
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    @pytest.mark.parametrize("p, q", [(0, 0), (0, 3), (3, 1), (4, 0), (2, 2),
+                                      (4, 4), (1, 3), (2, 4)])
+    def test_each_dimension_case_is_a_plain_float(self, name, p, q, field):
+        # 0 from {0}, the diameter when p > q, f_p of the angles otherwise:
+        # each the exact float that formula gives, with nothing around it
+        desc = METRICS[name]
+        v = random_subspace(4, p, field, 10 + p)
+        w = random_subspace(4, q, field, 20 + q)
+        got = asymmetric_distance(name, v, w)
+        assert type(got) is float
+        if p == 0:
+            assert got == 0.0
+        elif p > q:
+            assert got == desc.diam(p)
+        else:
+            assert got == desc.f_p(principal_angles(v, w))
 
     def test_geodesic_diameter_exact(self, field):
         v = random_subspace(6, 4, field, 5)
         w = random_subspace(6, 2, field, 6)
-        res = asymmetric_distance("geodesic", v, w)
-        assert res.value == HALF_PI * math.sqrt(4)
+        assert asymmetric_distance("geodesic", v, w) == HALF_PI * math.sqrt(4)
 
     def test_extension_consistency_identities(self, rng, field):
         for seed in range(8):
@@ -128,11 +141,11 @@ class TestAsymmetricExtension:
             v = random_subspace(6, p, field, 300 + seed)
             w = random_subspace(6, q, field, 400 + seed)
             th = asymmetric_angle(v, w)
-            assert asymmetric_distance("fubini_study", v, w).value == \
+            assert asymmetric_distance("fubini_study", v, w) == \
                 pytest.approx(th, abs=1e-9)
-            assert asymmetric_distance("binet_cauchy", v, w).value == \
+            assert asymmetric_distance("binet_cauchy", v, w) == \
                 pytest.approx(math.sin(th), abs=1e-9)
-            assert asymmetric_distance("projection_2norm", v, w).value == \
+            assert asymmetric_distance("projection_2norm", v, w) == \
                 pytest.approx(containment_gap(v, w), abs=1e-9)
 
 
@@ -202,12 +215,22 @@ class TestFullGrassmannianDistances:
 
     def test_symmetric_distance_oracles(self, rng, field):
         # equals max of the directional distances; the projector Frobenius
-        # norm enters through |p - q| + 2 * sum(sin^2)
+        # norm enters through |p - q| + 2 * sum(sin^2).  {0} and the whole
+        # space go with every random pair, on both sides.
+        zero, full = Subspace.zero(6, field), Subspace.full(6, field)
+        pairs = []
         for seed in range(6):
             p = int(rng.integers(1, 6))
             q = int(rng.integers(1, 6))
-            v = random_subspace(6, p, field, 900 + seed)
-            w = random_subspace(6, q, field, 950 + seed)
+            pairs.append((random_subspace(6, p, field, 900 + seed),
+                          random_subspace(6, q, field, 950 + seed)))
+        subs = [zero, full] + [s for pair in pairs for s in pair]
+        pairs += [(a, b) for a in (zero, full) for b in subs]
+        pairs += [(b, a) for a in (zero, full) for b in subs[2:]]
+        for w in subs:
+            assert directional_distance(zero, w) == 0.0
+        for v, w in pairs:
+            p, q = v.dim, w.dim
             ds = symmetric_distance(v, w)
             assert ds == pytest.approx(
                 max(directional_distance(v, w), directional_distance(w, v)),
@@ -352,9 +375,9 @@ class TestTriangleSampling:
             subs = [random_subspace(n, int(d), field, 1000 * seed + i)
                     for i, d in enumerate(dims)]
             for name, desc in METRICS.items():
-                d_uw = asymmetric_distance(desc, subs[0], subs[2]).value
-                d_uv = asymmetric_distance(desc, subs[0], subs[1]).value
-                d_vw = asymmetric_distance(desc, subs[1], subs[2]).value
+                d_uw = asymmetric_distance(desc, subs[0], subs[2])
+                d_uv = asymmetric_distance(desc, subs[0], subs[1])
+                d_vw = asymmetric_distance(desc, subs[1], subs[2])
                 assert d_uw <= d_uv + d_vw + 1e-8, name
 
 

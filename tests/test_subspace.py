@@ -73,6 +73,15 @@ class TestSubspaceConstruction:
             Subspace(3, R, 1j * e1)
         assert Subspace(3, C, 1j * e1).dim == 1
 
+    @pytest.mark.parametrize("basis", [[[1.0], [0.0], [0.0]], ((1.0,), (0.0,), (0.0,)),
+                                       None, 1.0, np.array([1.0, 0.0, 0.0]),
+                                       np.eye(3)[None], np.eye(4)[:, :1]])
+    def test_a_basis_not_a_2d_array_of_n_rows_is_a_dimension_error(self, basis):
+        # a nested list is rejected as a wrong shape is, not with an
+        # AttributeError from reading its shape
+        with pytest.raises(DimensionError):
+            Subspace(3, R, basis)
+
 
 @pytest.fixture
 def deviation_calls(monkeypatch):

@@ -115,7 +115,7 @@ def test_triangle_check_names_its_worst_triple_and_metric():
         subs = dict(pairs)
 
         def d(a, b):
-            return asymmetric_distance(METRICS[metric], subs[a], subs[b]).value
+            return asymmetric_distance(METRICS[metric], subs[a], subs[b])
 
         assert d(u, w) - d(u, v) - d(v, w) == tri.worst
     assert named
