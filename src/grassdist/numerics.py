@@ -129,8 +129,45 @@ def _rank(s: np.ndarray, rank_tol: float) -> int:
     return int(np.count_nonzero(s >= rank_tol * s[0]))
 
 
+# The Gram route of ``orthonormalize`` runs on sets with n >= 4k and
+# n k^2 >= 1e4 and keeps its result when lambda_min >= 0.1 lambda_max
+# (kappa^2 <= 10).  Timed on a 2-core x86 VM, numpy 2.4.6, BLAS on one
+# thread: at 500 x 60 real the route takes 0.45 ms against 1.28 ms for the
+# SVD, at 500 x 20 0.09 against 0.21 ms; below the size gate (SVD under
+# about 40 us) it saves at most 10 us, while a set that falls back pays
+# about 20 us more.
+_GRAM_ASPECT = 4
+_GRAM_MIN_WORK = 10_000
+_GRAM_MIN_RATIO = 0.1
+
+
+def _gram_polar(a: np.ndarray, rank_tol: float) -> np.ndarray | None:
+    """The polar factor ``A (A^H A)^(-1/2)`` from the eigendecomposition of
+    the k x k Gram matrix, or None when A is too ill conditioned for it:
+    lambda_min < max(0.1, 4 rank_tol^2) lambda_max, and for a zero A.  A is
+    first divided by its largest absolute real or imaginary part, which
+    leaves the polar factor unchanged and bounds every Gram entry by 2n, so
+    neither the scale nor the Gram matrix can overflow."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    scale = max(np.max(np.abs(x)) for x in parts)
+    if scale == 0:
+        return None
+    # part by part: numpy divides a complex array by way of 1/scale, which
+    # overflows for a subnormal scale
+    b = parts[0] / scale
+    if len(parts) == 2:
+        b = b + 1j * (parts[1] / scale)
+    try:
+        lam, v = np.linalg.eigh(gram(b))
+    except np.linalg.LinAlgError:
+        return None
+    if not lam[0] >= max(_GRAM_MIN_RATIO, 4 * rank_tol * rank_tol) * lam[-1]:
+        return None
+    return b @ ((v / np.sqrt(lam)) @ v.conj().T)
+
+
 def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    """Orthonormal basis of the column span of ``columns``, from one SVD.
+    """Orthonormal basis of the column span of ``columns``.
 
     The number of returned columns is the numerical rank: the count of
     singular values at or above ``rank_tol`` times the largest.  At full
@@ -138,6 +175,17 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
     basis closest to the input; otherwise it is the leading left singular
     vectors.  Rank-deficient input is legal: the span is preserved and the
     basis shrinks.
+
+    Two routes give that result.  A tall, large set (n >= 4k and
+    n k^2 >= 1e4) first tries :func:`_gram_polar`, the polar factor from
+    ``eigh`` of its k x k Gram matrix (Higham, SIAM J. Sci. Stat. Comput.
+    7(4), 1986), kept when lambda_min >= max(0.1, 4 rank_tol^2) lambda_max.
+    That test implies sigma_min/sigma_max >= 2 rank_tol up to roundoff, so
+    the SVD rule would keep all k columns too, and kappa^2 <= 10, so the
+    result is the polar factor to roundoff.  Every other set (small, wide,
+    zero, rank-deficient or ill conditioned) takes one thin SVD.  So the
+    number of columns does not depend on the route, except for entries
+    near overflow, where the unscaled SVD overflows.
     """
     a = np.asarray(columns)
     if a.ndim != 2:
@@ -147,6 +195,10 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
         return a[:, :0].copy()
     if not np.all(np.isfinite(a)):
         raise DimensionError("matrix entries must be finite")
+    if n >= _GRAM_ASPECT * k and n * k * k >= _GRAM_MIN_WORK:
+        q = _gram_polar(a, rank_tol)
+        if q is not None:
+            return q
     u, s, v = svd(a)
     r = _rank(s, rank_tol)
     if r == k:

@@ -212,8 +212,12 @@ def principal_angles(v: Subspace, w: Subspace) -> np.ndarray:
     cosine exceeds sqrt(1/2) is a second SVD taken, of ``F - E C``, whose
     singular values (ascending) are the sines; those angles below pi/4 are
     ``arcsin`` of their sine, the rest ``arccos`` of their cosine.  The
-    largest cosine and sine are checked by :func:`clamp_cosine`.
+    largest cosine and sine are checked by :func:`clamp_cosine`.  A
+    subspace paired with itself (the same object) makes every angle exactly
+    0 and takes no SVD.
     """
+    if v is w:
+        return np.zeros(v.dim)
     _check_pair(v, w)
     if v.dim == 0 or w.dim == 0:
         return np.zeros(0)

@@ -112,6 +112,15 @@ class TestAsymmetricExtension:
             HALF_PI * math.sqrt(3))
 
     @pytest.mark.parametrize("name", sorted(METRICS))
+    def test_a_subspace_is_at_distance_zero_from_itself(self, name, field):
+        # paired with itself (the same object) every angle is exactly 0, so
+        # every f_p is 0.0; the full kernel read up to 1e-15 on these
+        for d in range(1, 8):
+            v = random_subspace(8, d, field, 40 + d)
+            assert np.array_equal(principal_angles(v, v), np.zeros(d))
+            assert asymmetric_distance(name, v, v) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(METRICS))
     @pytest.mark.parametrize("p, q", [(0, 0), (0, 3), (3, 1), (4, 0), (2, 2),
                                       (4, 4), (1, 3), (2, 4)])
     def test_each_dimension_case_is_a_plain_float(self, name, p, q, field):

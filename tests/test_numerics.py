@@ -1,18 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassdist import numerics
 from grassdist.errors import DimensionError, NumericalDegeneracyError
-from grassdist.numerics import (Field, Tolerance, as_matrix, clamp_cosine,
+from grassdist.numerics import (Field, Tolerance, _rank, as_matrix, clamp_cosine,
                                 gram, orthonormalize, singular_values, svd)
 from grassdist.subspace import Subspace
 
 from conftest import random_matrix
 
 S2 = math.sqrt(2) / 2
+EPS = np.finfo(float).eps
 
 
 def inner(v, w):
@@ -139,6 +142,122 @@ class TestOrthonormalize:
     def test_rejects_nonfinite(self):
         with pytest.raises(DimensionError):
             orthonormalize(np.array([[np.nan, 0.0]]).T)
+
+
+def svd_route(a, rank_tol=1e-10):
+    """What ``orthonormalize`` returns from its SVD: the polar factor at
+    full rank, else the leading left singular vectors."""
+    u, s, v = svd(a)
+    r = _rank(s, rank_tol)
+    return u @ v.conj().T if r == a.shape[1] else u[:, :r]
+
+
+def with_spectrum(rng, n, sigmas, field):
+    """An n x k set with singular values ``sigmas`` and random singular
+    vectors."""
+    k = len(sigmas)
+    u = svd(random_matrix(rng, n, k, field))[0]
+    v = svd(random_matrix(rng, k, k, field))[0]
+    return (u * sigmas) @ v.conj().T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shape of each matrix ``orthonormalize`` hands to the SVD."""
+    calls = []
+    real = numerics.svd
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(numerics, "svd", counting)
+    return calls
+
+
+class TestGramRoute:
+    """Tall, large, well-conditioned sets take the polar factor from the
+    eigendecomposition of their Gram matrix; every other set takes the SVD,
+    and both give the SVD rule's dimension."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-310])
+    def test_tall_sets_give_the_svd_polar_factor(self, field, scale, svd_calls):
+        # Bounds: the Gram route's basis is orthonormal to the existing
+        # 10 n eps, and with kappa^2 <= 10 it differs from the SVD's U V^H by
+        # a few roundings per entry; over these sets the worst seen was
+        # 0.9 k eps, so 10 k eps.
+        rng = np.random.default_rng(2510)
+        for n, k in [(100, 10), (120, 30), (200, 40), (500, 20), (500, 60)]:
+            a = random_matrix(rng, n, k, field) * scale
+            out = orthonormalize(a)
+            assert svd_calls == []
+            assert out.shape == (n, k) == svd_route(a).shape
+            assert out.dtype == field.dtype
+            assert np.max(np.abs(gram(out) - np.eye(k))) <= 10 * n * EPS
+            assert np.max(np.abs(out - svd_route(a))) <= 10 * k * EPS
+
+    def test_a_tall_set_near_overflow_keeps_every_column(self, field, svd_calls):
+        # entries up to 1.5e308: |z| of a complex entry, the SVD's norms and
+        # an unscaled Gram matrix all overflow (numpy's SVD then returns NaN
+        # or inf singular values), but the scaled Gram matrix does not
+        rng = np.random.default_rng(2516)
+        a = np.clip(random_matrix(rng, 200, 20, field).real, -1.5, 1.5) * 1e308
+        if field is Field.COMPLEX:
+            a = a + 1j * a[::-1]
+        out = orthonormalize(a)
+        assert svd_calls == [] and out.shape == (200, 20)
+        assert np.max(np.abs(gram(out) - np.eye(20))) <= 10 * 200 * EPS
+
+    @pytest.mark.parametrize("ratio, gram_route", [(0.11, True), (0.09, False)])
+    def test_either_side_of_the_eigenvalue_gate(self, field, ratio, gram_route,
+                                                svd_calls):
+        # lambda_min / lambda_max = sigma_min^2 / sigma_max^2 = ratio
+        rng = np.random.default_rng(2511)
+        a = with_spectrum(rng, 200, np.geomspace(1.0, math.sqrt(ratio), 20), field)
+        out = orthonormalize(a)
+        assert len(svd_calls) == (0 if gram_route else 1)
+        if gram_route:
+            assert np.max(np.abs(out - svd_route(a))) <= 10 * 20 * EPS
+        else:
+            assert np.array_equal(out, svd_route(a))
+
+    @pytest.mark.parametrize("rank_tol, ratio, gram_route", [
+        (0.3, 0.5, True),    # lambda ratio 0.5 >= 4 * 0.3^2
+        (0.3, 0.3, False),   # 0.3 < 0.36, though the SVD keeps every column
+        (0.6, 0.9, False),   # 4 * 0.6^2 > 1: no set passes
+        (0.6, 0.3, False),   # sigma ratio 0.55 < 0.6: the SVD drops a column
+    ])
+    def test_a_large_rank_tol_moves_the_gate(self, field, rank_tol, ratio,
+                                             gram_route, svd_calls):
+        rng = np.random.default_rng(2512)
+        a = with_spectrum(rng, 200, np.geomspace(1.0, math.sqrt(ratio), 20), field)
+        out = orthonormalize(a, rank_tol)
+        assert len(svd_calls) == (0 if gram_route else 1)
+        assert out.shape == svd_route(a, rank_tol).shape
+        if not gram_route:
+            assert np.array_equal(out, svd_route(a, rank_tol))
+
+    @pytest.mark.parametrize("n, k", [(100, 30), (39, 10), (90, 10), (40, 5)])
+    def test_sets_below_the_size_gate_keep_the_svd_output(self, field, n, k,
+                                                          svd_calls):
+        # n < 4k, or n k^2 < 1e4
+        a = random_matrix(np.random.default_rng(2514), n, k, field)
+        assert np.array_equal(orthonormalize(a), svd_route(a))
+        assert svd_calls == [(n, k)]
+
+    def test_zero_tall_sets_do_not_warn(self, field, svd_calls):
+        # an all-zero set has rank 0; one zero column falls back to the SVD,
+        # which drops it
+        zero = np.zeros((500, 20), dtype=field.dtype)
+        one_zero = random_matrix(np.random.default_rng(2515), 500, 20, field)
+        one_zero[:, 7] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert orthonormalize(zero).shape == (500, 0)
+            out = orthonormalize(one_zero)
+        assert out.shape == (500, 19)
+        assert np.array_equal(out, svd_route(one_zero))
+        assert len(svd_calls) == 2
 
 
 def test_clamp_cosine():

@@ -52,6 +52,31 @@ class TestSubspaceConstruction:
         assert scaled.dim == 3 and not scaled.was_reduced
         np.testing.assert_allclose(principal_angles(scaled, v), 0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-310])
+    def test_tall_sets_keep_the_svd_rank_decision(self, field, scale):
+        # the well-conditioned sets take orthonormalize's Gram route, the
+        # repeated column and the 1e-12 column its SVD; each keeps the count
+        # of singular values at or above rank_tol times the largest
+        rng = np.random.default_rng(2520)
+        eps = np.finfo(float).eps
+        for n, k in [(100, 10), (200, 40), (500, 60)]:
+            base = random_matrix(rng, n, k, field)
+            tiny = base.copy()
+            tiny[:, 0] *= 1e-12
+            for cols in (base, np.concatenate([base, base[:, :1]], axis=1), tiny):
+                cols = cols * scale
+                v = Subspace.from_columns(cols, field)
+                s = np.linalg.svd(cols, compute_uv=False)
+                rank = int(np.count_nonzero(s >= 1e-10 * s[0]))
+                assert v.dim == rank and v.was_reduced == (rank < cols.shape[1])
+                assert subspace._ortho_deviation(v.basis) <= 10 * n * eps
+
+    def test_zero_tall_set_has_dimension_zero(self, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = Subspace.from_columns(np.zeros((500, 20)), field)
+        assert v.dim == 0 and v.was_reduced
+
     def test_zero_and_full(self):
         assert Subspace.zero(4, R).dim == 0
         assert Subspace.full(4, C).dim == 4
