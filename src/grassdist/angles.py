@@ -9,12 +9,12 @@
 
 The standalone functions take the default route, products over principal
 angles (robust for any n).  Two independent oracles cross-validate it, one
-readout of (Theta(V, W), Upsilon, Psi) each in ``ORACLES``: Gram
-determinants, and sums of squared Plücker coordinates in a basis adapted to
-W (the exterior route, which reads the norms of the contraction, wedge and
-regressive products of blades; capped at small ambient dimension).  A route
-is chosen only through ``angle_report(v, w, route)``; the ``*_from_gram``
-functions take the Gram route on raw, non-orthonormal bases.
+readout of (Theta(V, W), Theta(W, V), Upsilon, Psi) each in ``ORACLES``:
+Gram determinants (:func:`gram_angles`), and sums of squared Plücker
+coordinates in a basis adapted to W (the exterior route, which reads the
+norms of the contraction, wedge and regressive products of blades; capped
+at small ambient dimension).  A route is chosen only through
+``angle_report(v, w, route)``.
 
 On the principal route Theta *is* the asymmetric Fubini-Study extension.
 No derivation takes arccos or arcsin of a product or sets a value to zero;
@@ -35,7 +35,7 @@ from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
 from .subspace import (Subspace, _check_pair, _count_right, _count_zero,
-                       principal_angles, principal_decomposition)
+                       _larger_first, principal_angles, principal_decomposition)
 
 
 class AngleRoute(enum.Enum):
@@ -103,13 +103,6 @@ def _solve_b(b: np.ndarray, c: np.ndarray) -> np.ndarray:
         raise DegenerateBasisError("w-columns are not a basis") from exc
 
 
-def cos2_theta_from_gram(v_columns, w_columns, field: Field) -> float:
-    """cos^2 Theta from arbitrary bases:
-    ``det(conj(C).T @ inv(B) @ C) / det(A)`` with A, B the Gram matrices of
-    the two column sets and C the cross-Gram matrix."""
-    return _cos2_theta(*_gram_blocks(v_columns, w_columns, field))
-
-
 def _cos2_theta(v, w, a, b, c, det_a) -> float:
     if v.shape[1] == 0:
         return 1.0
@@ -122,11 +115,6 @@ def _cos2_theta(v, w, a, b, c, det_a) -> float:
     return clamp_cosine(val)
 
 
-def sin2_upsilon_from_gram(v_columns, w_columns, field: Field) -> float:
-    """sin^2 Upsilon from arbitrary bases: ``det(A - conj(C).T inv(B) C) / det(A)``."""
-    return _sin2_upsilon(*_gram_blocks(v_columns, w_columns, field))
-
-
 def _sin2_upsilon(v, w, a, b, c, det_a) -> float:
     if v.shape[1] == 0:
         return 1.0
@@ -134,15 +122,6 @@ def _sin2_upsilon(v, w, a, b, c, det_a) -> float:
         return 0.0  # dimensions force a nontrivial intersection
     val = float(np.linalg.det(a - _solve_b(b, c)).real) / det_a
     return clamp_cosine(val)
-
-
-def sin2_psi_from_gram(v_columns, w_orthonormal_columns, field: Field) -> float:
-    """sin^2 Psi via the determinant sum over (n - p)-subsets of the
-    orthonormal w-basis:
-    ``(1 / det A) * sum_i |det [v_1 .. v_p  w_{i_1} .. w_{i_{n-p}}]|^2``.
-    Returns 0 directly when p + q < n.  Columns are scaled to unit norm
-    first, so the w-columns need only be mutually orthogonal."""
-    return _sin2_psi(*_gram_blocks(v_columns, w_orthonormal_columns, field))
 
 
 def _sin2_psi(v, w, a, b, c, det_a) -> float:
@@ -170,21 +149,28 @@ def _sin2_psi(v, w, a, b, c, det_a) -> float:
     return clamp_cosine(total / det_a)
 
 
-def _gram_angles(v: Subspace, w: Subspace) -> tuple[float, float, float]:
-    """Theta(V, W), Upsilon and Psi on the Gram route, from one build of the
-    Gram blocks; Psi raises above ``GRAM_PSI_CAP``.  Theta agrees with the
-    other routes only down to about 7.7e-8: it takes acos of a ratio that
-    :func:`clamp_cosine` snaps to 1 within 3e-15, so it reads 0 below that.
-    ``verify`` compares routes on the squared scale."""
-    blocks = _gram_blocks(v.basis, w.basis, v.field)
-    return (math.acos(math.sqrt(_cos2_theta(*blocks))),
+def gram_angles(v: Subspace, w: Subspace) -> tuple[float, float, float, float]:
+    """Theta(V, W), Theta(W, V), Upsilon and Psi on the Gram route, from one
+    build of the Gram blocks with the larger side first, as the kernel
+    orders it: both argument orders give the same floats, the Thetas
+    swapped, and Psi sums the fewer minors (it raises above
+    ``GRAM_PSI_CAP``).  Theta reads 0 below about 7.7e-8: it takes acos of
+    a ratio that :func:`clamp_cosine` snaps to 1 within 3e-15."""
+    _check_pair(v, w)
+    larger, smaller = _larger_first(v, w)
+    blocks = _gram_blocks(larger, smaller, v.field)
+    e, f, a, b, c, det_a = blocks
+    det_b = float(np.linalg.det(b).real) if b.size else 1.0
+    down = math.acos(math.sqrt(_cos2_theta(*blocks)))
+    up = math.acos(math.sqrt(_cos2_theta(f, e, b, a, c.conj().T, det_b)))
+    return (*((down, up) if larger is v.basis else (up, down)),
             math.asin(math.sqrt(_sin2_upsilon(*blocks))),
             math.asin(math.sqrt(_sin2_psi(*blocks))))
 
 
-# Each oracle route: its readout of (Theta(V, W), Upsilon, Psi) and the
-# ambient cap of the leg that enumerates subsets.
-ORACLES = {AngleRoute.GRAM: (_gram_angles, GRAM_PSI_CAP),
+# Each oracle route: its readout of (Theta(V, W), Theta(W, V), Upsilon, Psi)
+# and the ambient cap of the leg that enumerates subsets.
+ORACLES = {AngleRoute.GRAM: (gram_angles, GRAM_PSI_CAP),
            AngleRoute.EXTERIOR: (plucker_angles, AMBIENT_CAP)}
 
 
@@ -348,7 +334,7 @@ def angle_report(v: Subspace, w: Subspace,
     On the principal route the angles are computed once and every value is
     derived from them exactly as the standalone functions derive it, so
     the report equals those functions bit for bit.  An oracle route takes
-    its ``ORACLES`` readout in both directions.
+    one ``ORACLES`` readout.
     """
     theta = principal_angles(v, w)  # the kernel checks the pair
     # the angles ascend: past the r that read as 0, all lie above the cutoff
@@ -356,9 +342,7 @@ def angle_report(v: Subspace, w: Subspace,
     if route is AngleRoute.PRINCIPAL:
         values = _principal_values(v, w, theta, tol)
     else:
-        readout = ORACLES[route][0]
-        theta_vw, upsilon, psi = readout(v, w)
-        values = (theta_vw, readout(w, v)[0], upsilon, psi)
+        values = ORACLES[route][0](v, w)
     return AngleReport(
         *values,
         principal_angles=tuple(float(t) for t in theta),

@@ -63,11 +63,15 @@ def plucker_sums(v: Subspace, f: np.ndarray, q: int) -> tuple[tuple[float, float
                  for s in sine_sides)
 
 
-def plucker_angles(v: Subspace, w: Subspace) -> tuple[float, float, float]:
-    """Theta(V, W), Upsilon(V, W) and Psi(V, W) on the exterior route, each
-    ``atan2(sqrt(sin^2), sqrt(cos^2))`` of :func:`plucker_sums`."""
+def plucker_angles(v: Subspace, w: Subspace) -> tuple[float, float, float, float]:
+    """Theta(V, W), Theta(W, V), Upsilon and Psi on the exterior route, each
+    ``atan2(sqrt(sin^2), sqrt(cos^2))`` of the :func:`plucker_sums` of V in
+    a basis adapted to W, except Theta(W, V): W's in one adapted to V."""
     _check_pair(v, w)
-    return _angles_from_sums(plucker_sums(v, complete_basis(w.basis), w.dim))
+    theta_vw, upsilon, psi = _angles_from_sums(
+        plucker_sums(v, complete_basis(w.basis), w.dim))
+    theta_wv = _angles_from_sums(plucker_sums(w, complete_basis(v.basis), v.dim))[0]
+    return theta_vw, theta_wv, upsilon, psi
 
 
 def _angles_from_sums(sums) -> tuple[float, float, float]:

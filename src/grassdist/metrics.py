@@ -119,10 +119,11 @@ def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace,
     see :func:`extension_from_angles` for its three cases."""
     if isinstance(desc, str):
         desc = METRICS[desc]
-    _check_pair(v, w)
-    # outside 0 < p <= q the extension is 0 or the diameter: no angles read
-    theta = principal_angles(v, w) if 0 < v.dim <= w.dim else np.zeros(0)
-    return extension_from_angles(desc, theta, v.dim, w.dim)
+    if not 0 < v.dim <= w.dim:  # 0 or the diameter: no angles read
+        _check_pair(v, w)
+        return extension_from_angles(desc, np.zeros(0), v.dim, w.dim)
+    # the kernel checks the pair
+    return extension_from_angles(desc, principal_angles(v, w), v.dim, w.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +142,15 @@ def gap(v: Subspace, w: Subspace) -> float:
     projector difference, and is 1 whenever the dimensions differ.  With
     equal dimensions the kernel is symmetric bit for bit, so one direction
     is the gap."""
+    if v.dim == w.dim:
+        return containment_gap(v, w)
     _check_pair(v, w)
-    return containment_gap(v, w) if v.dim == w.dim else 1.0
+    return 1.0
 
 
 def directional_distance(v: Subspace, w: Subspace) -> float:
     """l2 size of the residuals of an orthonormal V-basis projected on W:
     sqrt(max(p - q, 0) + sum sin^2 theta_i), which is 0 for V = {0}."""
-    _check_pair(v, w)
     s2 = float(np.sum(np.sin(principal_angles(v, w)) ** 2))
     return math.sqrt(max(v.dim - w.dim, 0) + s2)
 
@@ -169,10 +171,9 @@ def diagnostic_quantities(v: Subspace, w: Subspace,
 
     Neither satisfies a triangle inequality for general subspaces.
     """
-    _check_pair(v, w)
+    theta = principal_angles(v, w)  # the kernel checks the pair
     if v.dim == 0 or w.dim == 0:
         raise DimensionError("diagnostics require nonzero subspaces")
-    theta = principal_angles(v, w)
     martin = (math.inf if _count_right(theta, tol) > 0
               else math.sqrt(float(np.sum(np.log1p(np.tan(theta) ** 2)))))
     return {"max_correlation": float(np.sin(theta[0])), "martin": martin}

@@ -10,7 +10,7 @@ the exterior route up to ``AMBIENT_CAP``, the Gram route up to
 ``GRAM_PSI_CAP``.
 
 The checks of one call share a pair table (``_PairTable``) of completed
-bases, principal angles and Plücker sums; nothing in it outlives the call.
+bases, angles, Plücker sums and Gram readouts; nothing outlives the call.
 On the corpus a call builds the corpus once and one table per ambient
 dimension and field, and the golden check reads its angles from those
 tables too, so every pair's angles are computed once.
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import exterior
-from .angles import ORACLES, AngleRoute, _principal_values, pythagorean_sum
+from .angles import (ORACLES, AngleRoute, _principal_values, gram_angles,
+                     pythagorean_sum)
 from .errors import NumericalDegeneracyError
 from .exterior import AMBIENT_CAP, _angles_from_sums
 from .metrics import METRICS, extension_from_angles
@@ -50,14 +51,14 @@ class CheckResult:
 
 class _PairTable(list):
     """The (id, Subspace) pairs of one call and, computed on first use, the
-    completed basis per subspace, the principal angles per unordered pair
-    (the kernel is symmetric bit for bit) and the Plücker sums per ordered
-    pair.  A computation that raises is not stored, so every check that
-    needs that pair fails on it."""
+    completed basis per subspace, the principal angles and the Gram readout
+    per unordered pair (both are symmetric bit for bit) and the Plücker sums
+    per ordered pair.  A computation that raises is not stored, so every
+    check that needs that pair fails on it."""
 
     def __init__(self, pairs):
         super().__init__(pairs)
-        self._completions, self._angles, self._sums = {}, {}, {}
+        self._completions, self._angles, self._sums, self._grams = {}, {}, {}, {}
 
     def completion(self, i: int) -> np.ndarray:
         """``complete_basis`` of subspace i; its trailing columns span V_i^perp."""
@@ -76,6 +77,14 @@ class _PairTable(list):
             self._sums[i, j] = exterior.plucker_sums(self[i][1], self.completion(j),
                                                      self[j][1].dim)
         return self._sums[i, j]
+
+    def gram(self, i: int, j: int) -> tuple[float, float, float]:
+        """Theta(V_i, V_j), Upsilon and Psi on the Gram route."""
+        key = min(i, j), max(i, j)
+        if key not in self._grams:
+            self._grams[key] = gram_angles(self[key[0]][1], self[key[1]][1])
+        theta_ij, theta_ji, upsilon, psi = self._grams[key]
+        return (theta_ij if i < j else theta_ji), upsilon, psi
 
     def theta(self, i: int, j: int) -> float:
         """Theta(V_i, V_j), as ``asymmetric_angle`` derives it."""
@@ -159,7 +168,7 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
         theta_vw, _, upsilon, psi = _principal_values(v, w, pairs.angles(i, j), tol)
         per_route = [(theta_vw, upsilon, psi)]
         per_route += [_angles_from_sums(pairs.plucker(i, j))
-                      if r is AngleRoute.EXTERIOR else ORACLES[r][0](v, w)
+                      if r is AngleRoute.EXTERIOR else pairs.gram(i, j)
                       for r in routes[1:]]
         # compare on the squared cosine/sine scale, which every route
         # produces natively; the angle scale loses half the precision near

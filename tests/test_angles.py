@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from grassdist import corpus
-from grassdist.angles import (AngleRoute, angle_report, asymmetric_angle,
-                              cos2_theta_from_gram, disjointness_angle,
-                              orthogonal_partition_check, projection_factor,
-                              pythagorean_sum, sin2_psi_from_gram,
-                              sin2_upsilon_from_gram, supplementation_angle)
+from grassdist.angles import (AngleRoute, _cos2_theta, _gram_blocks, _sin2_psi,
+                              _sin2_upsilon, angle_report, asymmetric_angle,
+                              disjointness_angle, orthogonal_partition_check,
+                              projection_factor, pythagorean_sum,
+                              supplementation_angle)
 from grassdist.errors import DegenerateBasisError, DimensionError
 from grassdist.metrics import asymmetric_distance
 from grassdist.numerics import DEFAULT_TOL, Field, Tolerance, clamp_cosine
@@ -46,15 +46,19 @@ class TestGoldenCorpus:
 
     def test_gram_route_on_raw_bases(self):
         # the spanning sets of the paper examples, without orthonormalizing
-        c2 = cos2_theta_from_gram(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W, R)
+        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_V,
+                                       corpus.DISTINCT_DIM_W, R))
         assert c2 == pytest.approx(0.5, abs=1e-12)
-        c2 = cos2_theta_from_gram(corpus.DISTINCT_DIM_W, corpus.DISTINCT_DIM_V, R)
+        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_W,
+                                       corpus.DISTINCT_DIM_V, R))
         assert c2 == pytest.approx(0.0, abs=1e-12)
-        c2 = cos2_theta_from_gram(corpus.FORMULA_BASES_V, corpus.FORMULA_BASES_W, C)
+        c2 = _cos2_theta(*_gram_blocks(corpus.FORMULA_BASES_V,
+                                       corpus.FORMULA_BASES_W, C))
         assert c2 == pytest.approx(1 / 3, abs=1e-12)
-        s2 = sin2_upsilon_from_gram(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W, R)
+        s2 = _sin2_upsilon(*_gram_blocks(corpus.DISTINCT_DIM_V,
+                                         corpus.DISTINCT_DIM_W, R))
         assert s2 == pytest.approx(0.5, abs=1e-12)
-        s2 = sin2_upsilon_from_gram(corpus.BLADES_A, corpus.BLADES_B, R)
+        s2 = _sin2_upsilon(*_gram_blocks(corpus.BLADES_A, corpus.BLADES_B, R))
         assert s2 == pytest.approx(17 / 36, abs=1e-12)
 
     def test_psi_gram_route_on_raw_bases(self):
@@ -62,9 +66,9 @@ class TestGoldenCorpus:
         w = np.eye(3, dtype=complex)[:, :2]
         w[1, 1] = np.exp(2j * np.pi / 3)
         w[:, 1] /= np.linalg.norm(w[:, 1])
-        s2 = sin2_psi_from_gram(corpus.FORMULA_BASES_V, w, C)
+        s2 = _sin2_psi(*_gram_blocks(corpus.FORMULA_BASES_V, w, C))
         assert s2 == pytest.approx(2 / 3, abs=1e-12)
-        s2 = sin2_psi_from_gram(corpus.R4_PLANES_V, corpus.R4_PLANES_W, R)
+        s2 = _sin2_psi(*_gram_blocks(corpus.R4_PLANES_V, corpus.R4_PLANES_W, R))
         assert s2 == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 3072, None],
@@ -83,7 +87,7 @@ class TestGoldenCorpus:
             total += abs(np.linalg.det(m)) ** 2
         if chunk_bytes is not None:
             monkeypatch.setattr(angles_mod, "_PSI_CHUNK_BYTES", chunk_bytes)
-        assert sin2_psi_from_gram(v, w, field) == clamp_cosine(total / det_a)
+        assert _sin2_psi(*_gram_blocks(v, w, field)) == clamp_cosine(total / det_a)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1e80, 1e300])
@@ -93,26 +97,27 @@ class TestGoldenCorpus:
         v3 = random_matrix(rng, 6, 3, R)
         w4 = random_subspace(6, 4, R, 7).basis
         for fn, a, b, scaled in [
-            (cos2_theta_from_gram, v, w, (v * scale, w * scale)),
-            (sin2_upsilon_from_gram, v, w, (v * scale, w * scale)),
-            (sin2_psi_from_gram, v3, w4, (v3 * scale, w4)),
+            (_cos2_theta, v, w, (v * scale, w * scale)),
+            (_sin2_upsilon, v, w, (v * scale, w * scale)),
+            (_sin2_psi, v3, w4, (v3 * scale, w4)),
         ]:
-            want = fn(a, b, R)
+            want = fn(*_gram_blocks(a, b, R))
             assert 0.0 < want < 1.0, fn.__name__
-            assert fn(*scaled, R) == pytest.approx(want, abs=1e-12), fn.__name__
+            assert fn(*_gram_blocks(*scaled, R)) == pytest.approx(want, abs=1e-12), \
+                fn.__name__
 
     def test_zero_column_rejected(self):
         with pytest.raises(DegenerateBasisError):
-            cos2_theta_from_gram(np.zeros((3, 1)), np.eye(3)[:, :2], R)
+            _cos2_theta(*_gram_blocks(np.zeros((3, 1)), np.eye(3)[:, :2], R))
         with pytest.raises(DegenerateBasisError):
-            sin2_upsilon_from_gram(np.eye(3)[:, :1], np.zeros((3, 2)), R)
+            _sin2_upsilon(*_gram_blocks(np.eye(3)[:, :1], np.zeros((3, 2)), R))
 
     def test_singular_gram_rejected(self):
         dependent = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
         with pytest.raises(DegenerateBasisError):
-            cos2_theta_from_gram(np.eye(3)[:, :1], dependent, R)
+            _cos2_theta(*_gram_blocks(np.eye(3)[:, :1], dependent, R))
         with pytest.raises(DegenerateBasisError):
-            cos2_theta_from_gram(dependent, np.eye(3)[:, :1], R)
+            _cos2_theta(*_gram_blocks(dependent, np.eye(3)[:, :1], R))
 
 
 class TestConventions:
@@ -221,6 +226,51 @@ class TestRouteAgreement:
             for key in ("theta_vw", "upsilon", "psi"):
                 vals = [getattr(rep, key) for rep in reports]
                 assert max(vals) - min(vals) < 1e-8, (key, n, p, q)
+
+
+def _order_sweep(n, field):
+    """{0}, two lines, two planes, two subspaces of dimension n // 2 (the
+    equal dimensions), a hyperplane and the whole space of F^n."""
+    dims = [0, 1, 1, 2, 2, n // 2, n // 2, n - 1, n]
+    return [random_subspace(n, d, field, 100 * n + k) for k, d in enumerate(dims)]
+
+
+class TestArgumentOrder:
+    # The exterior route is left out: its Upsilon and Psi come from the
+    # coordinates of one direction, V's in a basis adapted to W, so the two
+    # orders agree only to roundoff.
+    @pytest.mark.parametrize("route", [AngleRoute.PRINCIPAL, AngleRoute.GRAM],
+                             ids=lambda r: r.value)
+    @pytest.mark.parametrize("n, field", [(3, R), (5, R), (8, R), (3, C), (5, C)],
+                             ids=["R3", "R5", "R8", "C3", "C5"])
+    def test_swapping_the_arguments_swaps_the_thetas_bit_for_bit(self, route, n,
+                                                                 field):
+        for v, w in itertools.combinations(_order_sweep(n, field), 2):
+            vw, wv = angle_report(v, w, route), angle_report(w, v, route)
+            assert (wv.theta_vw, wv.theta_wv) == (vw.theta_wv, vw.theta_vw)
+            assert (wv.upsilon, wv.psi) == (vw.upsilon, vw.psi)
+            assert wv.principal_angles == vw.principal_angles
+
+    def test_gram_psi_sums_the_fewer_minors_in_either_order(self, monkeypatch):
+        # dims 10 and 19 in R^20: Psi sums C(10, 1) = 10 minors, not the
+        # C(19, 10) = 92,378 of the other order
+        import grassdist.angles as angles_mod
+        rows = []
+        original = angles_mod._subsets
+
+        def counted(n, k):
+            subsets = original(n, k)
+            rows.append(len(subsets))
+            return subsets
+
+        monkeypatch.setattr(angles_mod, "_subsets", counted)
+        v = random_subspace(20, 10, R, 1)
+        w = random_subspace(20, 19, R, 2)
+        for a, b in ((v, w), (w, v)):
+            rows.clear()
+            rep = angle_report(a, b, AngleRoute.GRAM)
+            assert sum(rows) == 10
+            assert rep.psi == pytest.approx(supplementation_angle(a, b), abs=1e-8)
 
 
 class TestProjectionFactor:

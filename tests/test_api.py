@@ -85,6 +85,7 @@ PAIR_CALLABLES = {
        functools.partial(angles.angle_report, route=route)
        for route in angles.AngleRoute},
     "angles.orthogonal_partition_check": _partition_check,
+    "angles.gram_angles": angles.gram_angles,
     "exterior.plucker_angles": exterior.plucker_angles,
 }
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from grassdist import corpus, verify
+from grassdist import angles, corpus, verify
 from grassdist.angles import AngleRoute, angle_report
 from grassdist.cli import main
 from grassdist.metrics import METRICS, asymmetric_distance
@@ -53,26 +53,47 @@ def test_route_check_takes_one_readout_per_ordered_pair(monkeypatch):
     assert len(calls) == len(pairs) * (len(pairs) - 1)
 
 
-def test_route_check_builds_the_gram_blocks_once_per_ordered_pair(monkeypatch):
+def test_route_check_builds_the_gram_blocks_once_per_unordered_pair(monkeypatch):
     import grassdist.angles as angles_mod
     calls = counting(monkeypatch, angles_mod, "_gram_blocks")
     pairs = r8_pairs()
     assert verify._check_routes(verify._PairTable(pairs), DEFAULT_TOL).passed
-    assert len(calls) == len(pairs) * (len(pairs) - 1)
+    assert len(calls) == len(pairs) * (len(pairs) - 1) // 2
 
 
-@pytest.mark.parametrize("route, module, name", [
-    (AngleRoute.EXTERIOR, "exterior", "plucker_sums"),
-    (AngleRoute.GRAM, "angles", "_gram_blocks"),
+def test_a_gram_readout_that_raises_is_not_stored(monkeypatch):
+    from grassdist.errors import NumericalDegeneracyError
+    calls = []
+
+    def fails_once(v, w):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalDegeneracyError("SVD did not converge")
+        return angles.gram_angles(v, w)
+
+    monkeypatch.setattr(verify, "gram_angles", fails_once)
+    table = verify._PairTable(r8_pairs())
+    with pytest.raises(NumericalDegeneracyError):
+        table.gram(1, 2)
+    theta_vw, theta_wv, upsilon, psi = angles.gram_angles(table[1][1], table[2][1])
+    assert table.gram(1, 2) == (theta_vw, upsilon, psi)
+    assert table.gram(2, 1) == (theta_wv, upsilon, psi)
+    assert len(calls) == 2  # the failed call and one readout for both orders
+
+
+# the Gram blocks give both directions; the Plücker sums only one each
+@pytest.mark.parametrize("route, module, name, readouts", [
+    (AngleRoute.EXTERIOR, "exterior", "plucker_sums", 2),
+    (AngleRoute.GRAM, "angles", "_gram_blocks", 1),
 ], ids=["exterior", "gram"])
 def test_an_oracle_report_takes_one_readout_per_direction(monkeypatch, route,
-                                                          module, name):
+                                                          module, name, readouts):
     import importlib
     calls = counting(monkeypatch, importlib.import_module(f"grassdist.{module}"),
                      name)
     (_, v), (_, w) = r8_pairs()[1:3]
     angle_report(v, w, route)
-    assert len(calls) == 2
+    assert len(calls) == readouts
 
 
 def test_route_check_names_its_worst_pair_and_quantity():
