@@ -4,8 +4,7 @@ possibly different dimensions, over the real and complex fields."""
 from .angles import (AngleReport, AngleRoute, angle_report, asymmetric_angle,
                      disjointness_angle, projection_factor,
                      supplementation_angle)
-from .errors import (DegenerateBasisError, DimensionError, GrassdistError,
-                     NumericalDegeneracyError)
+from .errors import DimensionError, GrassdistError, NumericalDegeneracyError
 from .metrics import (DIAGNOSTICS, METRICS,
                       MetricDescriptor, asymmetric_distance, containment_gap,
                       diagnostic_quantities, directional_distance,
@@ -22,8 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleReport", "AngleRoute", "DEFAULT_TOL", "DIAGNOSTICS",
-    "DegenerateBasisError", "DimensionError",
-    "Field", "GrassdistError", "METRICS",
+    "DimensionError", "Field", "GrassdistError", "METRICS",
     "MetricDescriptor", "NumericalDegeneracyError", "PrincipalDecomposition",
     "Subspace", "Tolerance", "angle_report", "asymmetric_angle",
     "asymmetric_distance", "containment_gap", "diagnostic_quantities",

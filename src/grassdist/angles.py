@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionError
+from .errors import DimensionError
 from .exterior import AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles
 from .metrics import METRICS, asymmetric_distance, extension_from_angles
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
@@ -61,46 +61,21 @@ _PSI_CHUNK_BYTES = 64 << 20
 
 
 # ---------------------------------------------------------------------------
-# Gram-determinant formulas on raw (possibly non-orthonormal) bases.
+# Gram-determinant formulas on any bases (Psi's needs W's orthonormal).
 # ---------------------------------------------------------------------------
 
-def _unit_columns(m: np.ndarray, side: str) -> np.ndarray:
-    """``m`` with every column scaled to unit 2-norm, each divided by its
-    largest absolute entry first so that the norm cannot overflow or
-    underflow.  Every Gram ratio below is invariant to column scaling."""
-    if not m.size:
-        return m
-    peak = np.max(np.abs(m), axis=0)
-    if np.any(peak == 0):
-        raise DegenerateBasisError(f"{side}-columns are not a basis (zero column)")
-    m = m / peak
-    return m / np.linalg.norm(m, axis=0)
-
-
-def _gram_blocks(v_columns, w_columns, field: Field):
-    v = as_matrix(v_columns, field)
-    w = as_matrix(w_columns, field)
-    if v.shape[0] != w.shape[0]:
-        raise DimensionError("ambient mismatch between basis matrices")
-    v, w = _unit_columns(v, "v"), _unit_columns(w, "w")
+def _gram_blocks(v: np.ndarray, w: np.ndarray):
     a = v.conj().T @ v            # p x p
     b = w.conj().T @ w            # q x q
     c = w.conj().T @ v            # q x p
     det_a = float(np.linalg.det(a).real) if a.size else 1.0
-    if v.shape[1] and det_a <= 0:
-        raise DegenerateBasisError("v-columns are not a basis (singular Gram matrix)")
-    if w.shape[1] and float(np.linalg.det(b).real) <= 0:
-        raise DegenerateBasisError("w-columns are not a basis (singular Gram matrix)")
     return v, w, a, b, c, det_a
 
 
 def _solve_b(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     if b.shape[0] == 0:
         return np.zeros((c.shape[1], c.shape[1]), dtype=c.dtype)
-    try:
-        return c.conj().T @ np.linalg.solve(b, c)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateBasisError("w-columns are not a basis") from exc
+    return c.conj().T @ np.linalg.solve(b, c)
 
 
 def _cos2_theta(v, w, a, b, c, det_a) -> float:
@@ -127,8 +102,6 @@ def _sin2_upsilon(v, w, a, b, c, det_a) -> float:
 def _sin2_psi(v, w, a, b, c, det_a) -> float:
     n = v.shape[0]
     p, q = v.shape[1], w.shape[1]
-    if q and float(np.max(np.abs(b - np.eye(q)))) > 1e-9:
-        raise DimensionError("the determinant-sum route needs an orthonormal w-basis")
     if n > GRAM_PSI_CAP:
         raise DimensionError("the determinant-sum route enumerates binomial(q, n - p) "
                              f"minors; capped at ambient {GRAM_PSI_CAP}")
@@ -152,17 +125,18 @@ def _sin2_psi(v, w, a, b, c, det_a) -> float:
 def gram_angles(v: Subspace, w: Subspace) -> tuple[float, float, float, float]:
     """Theta(V, W), Theta(W, V), Upsilon and Psi on the Gram route, from one
     build of the Gram blocks with the larger side first, as the kernel
-    orders it: both argument orders give the same floats, the Thetas
-    swapped, and Psi sums the fewer minors (it raises above
-    ``GRAM_PSI_CAP``).  Theta reads 0 below about 7.7e-8: it takes acos of
-    a ratio that :func:`clamp_cosine` snaps to 1 within 3e-15."""
+    orders it: both argument orders agree bit for bit, and Psi sums the
+    fewer minors (it raises above ``GRAM_PSI_CAP``).  Theta from the larger
+    side is pi/2, or the same float at equal dimensions.  Theta reads 0
+    below about 7.7e-8: it takes acos of a ratio that :func:`clamp_cosine`
+    snaps to 1 within 3e-15."""
     _check_pair(v, w)
     larger, smaller = _larger_first(v, w)
-    blocks = _gram_blocks(larger, smaller, v.field)
-    e, f, a, b, c, det_a = blocks
+    blocks = _gram_blocks(larger, smaller)
+    e, f, a, b, c, _ = blocks
     det_b = float(np.linalg.det(b).real) if b.size else 1.0
-    down = math.acos(math.sqrt(_cos2_theta(*blocks)))
     up = math.acos(math.sqrt(_cos2_theta(f, e, b, a, c.conj().T, det_b)))
+    down = up if e.shape[1] == f.shape[1] else math.pi / 2
     return (*((down, up) if larger is v.basis else (up, down)),
             math.asin(math.sqrt(_sin2_upsilon(*blocks))),
             math.asin(math.sqrt(_sin2_psi(*blocks))))

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .angles import AngleRoute, _projection_factor, angle_report
-from .errors import DegenerateBasisError, DimensionError, NumericalDegeneracyError
+from .errors import DimensionError, NumericalDegeneracyError
 from .io import (DistanceMatrixOutput, SubspaceFileError, load_subspace_file)
 from .metrics import (DIAGNOSTICS, METRICS, asymmetric_distance, containment_gap,
                       diagnostic_quantities, directional_distance,
@@ -198,8 +198,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (SubspaceFileError, OSError, DimensionError,
-            DegenerateBasisError) as exc:
+    except (SubspaceFileError, OSError, DimensionError) as exc:
         # an OSError from opening a file names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

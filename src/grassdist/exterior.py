@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .numerics import Field, as_matrix
-from .subspace import Subspace, _check_pair, complete_basis
+from .subspace import Subspace, _check_pair, _larger_first, complete_basis
 
 # The largest readout, at n = 14, takes C(14, 7) = 3,432 determinants of
 # 7 x 7; at n = 20 it would take C(20, 10) = 184,756 of 10 x 10.
@@ -65,13 +65,16 @@ def plucker_sums(v: Subspace, f: np.ndarray, q: int) -> tuple[tuple[float, float
 
 def plucker_angles(v: Subspace, w: Subspace) -> tuple[float, float, float, float]:
     """Theta(V, W), Theta(W, V), Upsilon and Psi on the exterior route, each
-    ``atan2(sqrt(sin^2), sqrt(cos^2))`` of the :func:`plucker_sums` of V in
-    a basis adapted to W, except Theta(W, V): W's in one adapted to V."""
+    ``atan2(sqrt(sin^2), sqrt(cos^2))`` of the one :func:`plucker_sums` of
+    the smaller subspace in a basis adapted to the larger (the kernel's
+    order), so both argument orders agree bit for bit.  Theta from the
+    larger side is pi/2, or the same float at equal dimensions."""
     _check_pair(v, w)
-    theta_vw, upsilon, psi = _angles_from_sums(
-        plucker_sums(v, complete_basis(w.basis), w.dim))
-    theta_wv = _angles_from_sums(plucker_sums(w, complete_basis(v.basis), v.dim))[0]
-    return theta_vw, theta_wv, upsilon, psi
+    small, big = (w, v) if _larger_first(v, w)[0] is v.basis else (v, w)
+    up, upsilon, psi = _angles_from_sums(
+        plucker_sums(small, complete_basis(big.basis), big.dim))
+    down = up if small.dim == big.dim else math.pi / 2
+    return (*((down, up) if big is v else (up, down)), upsilon, psi)
 
 
 def _angles_from_sums(sums) -> tuple[float, float, float]:

@@ -141,13 +141,9 @@ _GRAM_MIN_WORK = 10_000
 _GRAM_MIN_RATIO = 0.1
 
 
-def _gram_polar(a: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """The polar factor ``A (A^H A)^(-1/2)`` from the eigendecomposition of
-    the k x k Gram matrix, or None when A is too ill conditioned for it:
-    lambda_min < max(0.1, 4 rank_tol^2) lambda_max, and for a zero A.  A is
-    first divided by its largest absolute real or imaginary part, which
-    leaves the polar factor unchanged and bounds every Gram entry by 2n, so
-    neither the scale nor the Gram matrix can overflow."""
+def _peak_scaled(a: np.ndarray) -> np.ndarray | None:
+    """``a`` over its largest absolute real or imaginary part, or None for a
+    zero ``a``: no norm or Gram entry of the result can overflow."""
     parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
     scale = max(np.max(np.abs(x)) for x in parts)
     if scale == 0:
@@ -157,6 +153,17 @@ def _gram_polar(a: np.ndarray, rank_tol: float) -> np.ndarray | None:
     b = parts[0] / scale
     if len(parts) == 2:
         b = b + 1j * (parts[1] / scale)
+    return b
+
+
+def _gram_polar(a: np.ndarray, rank_tol: float) -> np.ndarray | None:
+    """The polar factor ``A (A^H A)^(-1/2)`` from ``eigh`` of the k x k Gram
+    matrix of the :func:`_peak_scaled` A, which has the same polar factor,
+    or None when A is too ill conditioned for it:
+    lambda_min < max(0.1, 4 rank_tol^2) lambda_max, and for a zero A."""
+    b = _peak_scaled(a)
+    if b is None:
+        return None
     try:
         lam, v = np.linalg.eigh(gram(b))
     except np.linalg.LinAlgError:
@@ -183,9 +190,10 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
     That test implies sigma_min/sigma_max >= 2 rank_tol up to roundoff, so
     the SVD rule would keep all k columns too, and kappa^2 <= 10, so the
     result is the polar factor to roundoff.  Every other set (small, wide,
-    zero, rank-deficient or ill conditioned) takes one thin SVD.  So the
-    number of columns does not depend on the route, except for entries
-    near overflow, where the unscaled SVD overflows.
+    zero, rank-deficient or ill conditioned) takes one thin SVD, taken again
+    of the :func:`_peak_scaled` set when its largest singular value comes
+    back inf or NaN.  So the number of columns depends neither on the route
+    nor on the scale of the set.
     """
     a = np.asarray(columns)
     if a.ndim != 2:
@@ -200,6 +208,8 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
         if q is not None:
             return q
     u, s, v = svd(a)
+    if not math.isfinite(s[0]):
+        u, s, v = svd(_peak_scaled(a))
     r = _rank(s, rank_tol)
     if r == k:
         return u @ v.conj().T

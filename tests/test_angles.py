@@ -10,7 +10,7 @@ from grassdist.angles import (AngleRoute, _cos2_theta, _gram_blocks, _sin2_psi,
                               disjointness_angle, orthogonal_partition_check,
                               projection_factor, pythagorean_sum,
                               supplementation_angle)
-from grassdist.errors import DegenerateBasisError, DimensionError
+from grassdist.errors import DimensionError
 from grassdist.metrics import asymmetric_distance
 from grassdist.numerics import DEFAULT_TOL, Field, Tolerance, clamp_cosine
 from grassdist.subspace import (Subspace, orthogonal_complement,
@@ -46,19 +46,15 @@ class TestGoldenCorpus:
 
     def test_gram_route_on_raw_bases(self):
         # the spanning sets of the paper examples, without orthonormalizing
-        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_V,
-                                       corpus.DISTINCT_DIM_W, R))
+        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W))
         assert c2 == pytest.approx(0.5, abs=1e-12)
-        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_W,
-                                       corpus.DISTINCT_DIM_V, R))
+        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_W, corpus.DISTINCT_DIM_V))
         assert c2 == pytest.approx(0.0, abs=1e-12)
-        c2 = _cos2_theta(*_gram_blocks(corpus.FORMULA_BASES_V,
-                                       corpus.FORMULA_BASES_W, C))
+        c2 = _cos2_theta(*_gram_blocks(corpus.FORMULA_BASES_V, corpus.FORMULA_BASES_W))
         assert c2 == pytest.approx(1 / 3, abs=1e-12)
-        s2 = _sin2_upsilon(*_gram_blocks(corpus.DISTINCT_DIM_V,
-                                         corpus.DISTINCT_DIM_W, R))
+        s2 = _sin2_upsilon(*_gram_blocks(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W))
         assert s2 == pytest.approx(0.5, abs=1e-12)
-        s2 = _sin2_upsilon(*_gram_blocks(corpus.BLADES_A, corpus.BLADES_B, R))
+        s2 = _sin2_upsilon(*_gram_blocks(corpus.BLADES_A, corpus.BLADES_B))
         assert s2 == pytest.approx(17 / 36, abs=1e-12)
 
     def test_psi_gram_route_on_raw_bases(self):
@@ -66,9 +62,9 @@ class TestGoldenCorpus:
         w = np.eye(3, dtype=complex)[:, :2]
         w[1, 1] = np.exp(2j * np.pi / 3)
         w[:, 1] /= np.linalg.norm(w[:, 1])
-        s2 = _sin2_psi(*_gram_blocks(corpus.FORMULA_BASES_V, w, C))
+        s2 = _sin2_psi(*_gram_blocks(corpus.FORMULA_BASES_V, w))
         assert s2 == pytest.approx(2 / 3, abs=1e-12)
-        s2 = _sin2_psi(*_gram_blocks(corpus.R4_PLANES_V, corpus.R4_PLANES_W, R))
+        s2 = _sin2_psi(*_gram_blocks(corpus.R4_PLANES_V, corpus.R4_PLANES_W))
         assert s2 == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 3072, None],
@@ -80,44 +76,14 @@ class TestGoldenCorpus:
         import grassdist.angles as angles_mod
         v = random_subspace(8, 4, field, 3).basis
         w = random_subspace(8, 7, field, 4).basis
-        unit_v, unit_w, *_, det_a = angles_mod._gram_blocks(v, w, field)
+        *_, det_a = angles_mod._gram_blocks(v, w)
         total = 0.0
         for rows in itertools.combinations(range(7), 4):
-            m = np.concatenate([unit_v, unit_w[:, rows]], axis=1)
+            m = np.concatenate([v, w[:, rows]], axis=1)
             total += abs(np.linalg.det(m)) ** 2
         if chunk_bytes is not None:
             monkeypatch.setattr(angles_mod, "_PSI_CHUNK_BYTES", chunk_bytes)
-        assert _sin2_psi(*_gram_blocks(v, w, field)) == clamp_cosine(total / det_a)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1e80, 1e300])
-    def test_gram_route_is_scale_free(self, rng, scale):
-        v = random_matrix(rng, 6, 2, R)
-        w = random_matrix(rng, 6, 3, R)
-        v3 = random_matrix(rng, 6, 3, R)
-        w4 = random_subspace(6, 4, R, 7).basis
-        for fn, a, b, scaled in [
-            (_cos2_theta, v, w, (v * scale, w * scale)),
-            (_sin2_upsilon, v, w, (v * scale, w * scale)),
-            (_sin2_psi, v3, w4, (v3 * scale, w4)),
-        ]:
-            want = fn(*_gram_blocks(a, b, R))
-            assert 0.0 < want < 1.0, fn.__name__
-            assert fn(*_gram_blocks(*scaled, R)) == pytest.approx(want, abs=1e-12), \
-                fn.__name__
-
-    def test_zero_column_rejected(self):
-        with pytest.raises(DegenerateBasisError):
-            _cos2_theta(*_gram_blocks(np.zeros((3, 1)), np.eye(3)[:, :2], R))
-        with pytest.raises(DegenerateBasisError):
-            _sin2_upsilon(*_gram_blocks(np.eye(3)[:, :1], np.zeros((3, 2)), R))
-
-    def test_singular_gram_rejected(self):
-        dependent = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateBasisError):
-            _cos2_theta(*_gram_blocks(np.eye(3)[:, :1], dependent, R))
-        with pytest.raises(DegenerateBasisError):
-            _cos2_theta(*_gram_blocks(dependent, np.eye(3)[:, :1], R))
+        assert _sin2_psi(*_gram_blocks(v, w)) == clamp_cosine(total / det_a)
 
 
 class TestConventions:
@@ -227,6 +193,21 @@ class TestRouteAgreement:
                 vals = [getattr(rep, key) for rep in reports]
                 assert max(vals) - min(vals) < 1e-8, (key, n, p, q)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.value)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1e80, 1e300])
+    def test_every_route_is_scale_free(self, field, route, scale):
+        # raw spanning sets of dims (2, 3) and (3, 4) in F^6, so that Theta,
+        # Upsilon and Psi are all strictly inside (0, pi/2) on some pair
+        rng = np.random.default_rng(2527)
+        for p, q in [(2, 3), (3, 4)]:
+            v, w = random_matrix(rng, 6, p, field), random_matrix(rng, 6, q, field)
+            want = angle_report(sub(v, field), sub(w, field), route)
+            got = angle_report(sub(scale * v, field), sub(scale * w, field), route)
+            for key in ("theta_vw", "theta_wv", "upsilon", "psi"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                          abs=1e-12), (key, p, q)
+
 
 def _order_sweep(n, field):
     """{0}, two lines, two planes, two subspaces of dimension n // 2 (the
@@ -236,11 +217,7 @@ def _order_sweep(n, field):
 
 
 class TestArgumentOrder:
-    # The exterior route is left out: its Upsilon and Psi come from the
-    # coordinates of one direction, V's in a basis adapted to W, so the two
-    # orders agree only to roundoff.
-    @pytest.mark.parametrize("route", [AngleRoute.PRINCIPAL, AngleRoute.GRAM],
-                             ids=lambda r: r.value)
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.value)
     @pytest.mark.parametrize("n, field", [(3, R), (5, R), (8, R), (3, C), (5, C)],
                              ids=["R3", "R5", "R8", "C3", "C5"])
     def test_swapping_the_arguments_swaps_the_thetas_bit_for_bit(self, route, n,
@@ -250,6 +227,10 @@ class TestArgumentOrder:
             assert (wv.theta_vw, wv.theta_wv) == (vw.theta_wv, vw.theta_vw)
             assert (wv.upsilon, wv.psi) == (vw.upsilon, vw.psi)
             assert wv.principal_angles == vw.principal_angles
+            # Theta from the larger side: pi/2, or the other Theta's float
+            larger = vw.theta_vw if v.dim > w.dim else vw.theta_wv
+            smaller = vw.theta_wv if v.dim > w.dim else vw.theta_vw
+            assert larger == (smaller if v.dim == w.dim else math.pi / 2)
 
     def test_gram_psi_sums_the_fewer_minors_in_either_order(self, monkeypatch):
         # dims 10 and 19 in R^20: Psi sums C(10, 1) = 10 minors, not the

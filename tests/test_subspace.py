@@ -52,6 +52,23 @@ class TestSubspaceConstruction:
         assert scaled.dim == 3 and not scaled.was_reduced
         np.testing.assert_allclose(principal_angles(scaled, v), 0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e308, 1.1e308])
+    def test_sets_near_overflow_keep_their_rank(self, field, scale):
+        # parts up to 1.65e308: the SVD of the set itself returns inf (real)
+        # or NaN (complex) singular values, so it would count too few
+        rng = np.random.default_rng(2521)
+        for _ in range(20):
+            cols = np.clip(random_matrix(rng, 6, 3, field).real, -1.5, 1.5)
+            if field is C:
+                cols = cols + 1j * np.clip(rng.standard_normal((6, 3)), -1.5, 1.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = Subspace.from_columns(scale * cols, field)
+            assert scaled.dim == 3 and not scaled.was_reduced
+            np.testing.assert_allclose(
+                principal_angles(scaled, Subspace.from_columns(cols, field)), 0,
+                atol=1e-12)
+
     @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-310])
     def test_tall_sets_keep_the_svd_rank_decision(self, field, scale):
         # the well-conditioned sets take orthonormalize's Gram route, the
