@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .exterior import AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles
-from .metrics import METRICS, asymmetric_distance, extension_from_angles
+from .metrics import METRICS, asymmetric_distance
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
 from .subspace import (Subspace, _check_pair, _count_right, _count_zero,
@@ -79,10 +79,9 @@ def _solve_b(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _cos2_theta(v, w, a, b, c, det_a) -> float:
+    # dim V <= dim W: gram_angles gives Theta from the larger side, pi/2
     if v.shape[1] == 0:
         return 1.0
-    if v.shape[1] > w.shape[1]:
-        return 0.0  # the determinant is of a rank-deficient matrix: exactly 0
     if w.shape[1] == w.shape[0]:
         return 1.0  # the target is the whole space: containment by fiat
     m = _solve_b(b, c)
@@ -271,13 +270,32 @@ def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
 # ---------------------------------------------------------------------------
 
 def _principal_values(v: Subspace, w: Subspace, theta: np.ndarray,
-                      tol: Tolerance) -> tuple[float, float, float, float]:
+                      r: int) -> tuple[float, float, float, float]:
     """Theta(V, W), Theta(W, V), Upsilon and Psi from the principal angles
-    ``theta``, exactly as the standalone functions derive them."""
-    return (extension_from_angles(_FUBINI_STUDY, theta, v.dim, w.dim),
-            extension_from_angles(_FUBINI_STUDY, theta, w.dim, v.dim),
-            _sine_product_angle(theta),
-            _psi_principal(v, w, theta, tol))
+    ``theta``, the first ``r`` of which read as 0, bit for bit as the
+    standalone functions derive them, from one ``np.cos`` and one
+    ``np.sin`` of the angles.  Theta is one cosine product, read from the
+    smaller side (pi/2 from the larger, the same float at equal
+    dimensions); Upsilon is the sine product; Psi follows
+    :func:`_psi_principal`'s cases and reads the same arrays past r, which
+    for r = 0 is Upsilon's product, so then it is the Upsilon float."""
+    p, q, n = v.dim, w.dim, v.ambient_dim
+    cos, sin = np.cos(theta), np.sin(theta)
+    theta_up = 0.0  # {0} on either side: Theta from it is 0
+    if p and q:
+        prod_cos, root = product_and_complement(cos, sin)
+        theta_up = math.atan2(root, prod_cos)
+    upsilon = math.atan2(*product_and_complement(sin, cos))
+    if p == n or q == n:
+        psi = math.pi / 2
+    elif p + q - r < n:
+        psi = 0.0
+    elif r == 0:
+        psi = upsilon
+    else:
+        psi = math.atan2(*product_and_complement(sin[r:], cos[r:]))
+    return (theta_up if p <= q else math.pi / 2,
+            theta_up if q <= p else math.pi / 2, upsilon, psi)
 
 
 @dataclass(frozen=True)
@@ -311,15 +329,16 @@ def angle_report(v: Subspace, w: Subspace,
     one ``ORACLES`` readout.
     """
     theta = principal_angles(v, w)  # the kernel checks the pair
+    r = _count_zero(theta, tol)
     # the angles ascend: past the r that read as 0, all lie above the cutoff
-    fragile = bool(np.any(theta[_count_zero(theta, tol):] < _CONDITION_BAND))
+    fragile = bool((theta[r:] < _CONDITION_BAND).any())
     if route is AngleRoute.PRINCIPAL:
-        values = _principal_values(v, w, theta, tol)
+        values = _principal_values(v, w, theta, r)
     else:
         values = ORACLES[route][0](v, w)
     return AngleReport(
         *values,
-        principal_angles=tuple(float(t) for t in theta),
+        principal_angles=tuple(theta.tolist()),
         dims=(v.dim, w.dim, v.ambient_dim),
         psi_ill_conditioned=fragile,
     )

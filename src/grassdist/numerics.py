@@ -82,10 +82,10 @@ def as_matrix(data, field: Field) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionError("matrix entries must be finite")
     if field is Field.REAL and np.iscomplexobj(a):
-        if a.size and np.max(np.abs(a.imag)) > 0:
+        if a.imag.any():
             raise DimensionError("complex entries are not allowed in a real-field matrix")
         a = a.real
     return a.astype(field.dtype, copy=False)
@@ -201,7 +201,7 @@ def orthonormalize(columns, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
     n, k = a.shape
     if k == 0 or n == 0:
         return a[:, :0].copy()
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionError("matrix entries must be finite")
     if n >= _GRAM_ASPECT * k and n * k * k >= _GRAM_MIN_WORK:
         q = _gram_polar(a, rank_tol)

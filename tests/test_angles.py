@@ -7,7 +7,8 @@ import pytest
 from grassdist import corpus
 from grassdist.angles import (AngleRoute, _cos2_theta, _gram_blocks, _sin2_psi,
                               _sin2_upsilon, angle_report, asymmetric_angle,
-                              disjointness_angle, orthogonal_partition_check,
+                              disjointness_angle, gram_angles,
+                              orthogonal_partition_check,
                               projection_factor, pythagorean_sum,
                               supplementation_angle)
 from grassdist.errors import DimensionError
@@ -48,14 +49,19 @@ class TestGoldenCorpus:
         # the spanning sets of the paper examples, without orthonormalizing
         c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W))
         assert c2 == pytest.approx(0.5, abs=1e-12)
-        c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_W, corpus.DISTINCT_DIM_V))
-        assert c2 == pytest.approx(0.0, abs=1e-12)
         c2 = _cos2_theta(*_gram_blocks(corpus.FORMULA_BASES_V, corpus.FORMULA_BASES_W))
         assert c2 == pytest.approx(1 / 3, abs=1e-12)
         s2 = _sin2_upsilon(*_gram_blocks(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W))
         assert s2 == pytest.approx(0.5, abs=1e-12)
         s2 = _sin2_upsilon(*_gram_blocks(corpus.BLADES_A, corpus.BLADES_B))
         assert s2 == pytest.approx(17 / 36, abs=1e-12)
+
+    def test_gram_theta_from_the_larger_side_is_a_right_angle(self):
+        # gram_angles decides the larger side's Theta by the dimensions,
+        # not by a determinant of a rank-deficient matrix
+        v, w = sub(corpus.DISTINCT_DIM_V), sub(corpus.DISTINCT_DIM_W)
+        assert gram_angles(w, v)[0] == math.pi / 2
+        assert gram_angles(v, w)[1] == math.pi / 2
 
     def test_psi_gram_route_on_raw_bases(self):
         # determinant-sum formula needs an orthonormal w-basis
@@ -583,12 +589,29 @@ class TestAngleReport:
         assert max(nz) <= rep.theta_vw + 1e-9
 
     def test_fields_equal_standalone_functions(self, field):
-        # {0}, the full space, p > q, p = q and p < q, in both orders
-        subs = [random_subspace(5, d, field, 60 + d) for d in range(6)]
-        subs.append(random_subspace(5, 2, field, 70))
-        for v, w in itertools.product(subs, repeat=2):
-            rep = angle_report(v, w)
-            assert rep.theta_vw == asymmetric_angle(v, w)
-            assert rep.theta_wv == asymmetric_angle(w, v)
-            assert rep.upsilon == disjointness_angle(v, w)
-            assert rep.psi == supplementation_angle(v, w)
+        # every (p, q) in F^0..F^8, {0} and the full space included, and
+        # pairs whose spanning sets share r >= 1 exact columns; Psi's cases
+        # by (r, p + q - r = n) are counted to show each one is reached
+        rng = np.random.default_rng(585)
+        cases = set()
+        for n in range(9):
+            pairs = [(random_subspace(n, p, field, 10 * n + p),
+                      random_subspace(n, q, field, 10 * n + q + 100))
+                     for p in range(n + 1) for q in range(n + 1)]
+            for p, q in itertools.product(range(1, n + 1), repeat=2):
+                for r in range(1, min(p, q) + 1):
+                    if p + q - r <= n:
+                        common = random_matrix(rng, n, r, field)
+                        v = np.hstack([common, random_matrix(rng, n, p - r, field)])
+                        w = np.hstack([random_matrix(rng, n, q - r, field), common])
+                        pairs.append((sub(v, field), sub(w, field)))
+            for v, w in pairs:
+                rep = angle_report(v, w)
+                assert rep.theta_vw == asymmetric_angle(v, w)
+                assert rep.theta_wv == asymmetric_angle(w, v)
+                assert rep.upsilon == disjointness_angle(v, w)
+                assert rep.psi == supplementation_angle(v, w)
+                r = sum(t <= DEFAULT_TOL.angle_tol for t in rep.principal_angles)
+                if max(v.dim, w.dim) < n and v.dim + w.dim - r == n:
+                    cases.add("sliced sines" if r else "the Upsilon float")
+        assert cases == {"sliced sines", "the Upsilon float"}

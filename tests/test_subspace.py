@@ -163,19 +163,30 @@ class TestOneOrthonormalityDecision:
         Subspace.full(5, field)
         assert deviation_calls == []
 
-    @pytest.mark.parametrize("delta", [0.5e-10, 0.99e-10, 1.01e-10, 1.5e-10, 2.5e-10])
-    @pytest.mark.parametrize("way", ["diagonal", "off_diagonal"])
-    def test_kept_verbatim_exactly_by_the_rule(self, field, way, delta):
+    # column 0's norm is read alone first, then every norm: a squared norm
+    # off 1 by more than 2e-10 fails before the Gram check
+    @pytest.mark.parametrize("delta", [0.5e-10, 0.99e-10, 1.01e-10, 1.5e-10, 2.5e-10,
+                                       3.9e-10, -3.9e-10, 4.1e-10, -4.1e-10,
+                                       1e-6, -1e-6])
+    @pytest.mark.parametrize("way", ["diagonal", "diagonal_2", "off_diagonal"])
+    def test_kept_verbatim_exactly_by_the_rule(self, field, deviation_calls, way,
+                                               delta):
         cols = random_subspace(6, 3, field, 11).basis.copy()
         if way == "diagonal":  # column 0's squared norm moves by delta
             cols[:, 0] *= math.sqrt(1 + delta)
-        else:  # shear: <col 0, col 1> becomes delta
+        elif way == "diagonal_2":  # column 0 exact, column 2 moves
+            cols[:, 2] *= math.sqrt(1 + delta)
+        else:  # shear: <col 0, col 1> becomes delta, every norm stays 1
             cols[:, 1] += delta * cols[:, 0]
+            cols[:, 1] /= np.linalg.norm(cols[:, 1])
+        deviation_calls.clear()
         kept = np.max(np.abs(cols.conj().T @ cols - np.eye(3))) <= 1e-10
-        assert kept == (delta < 1e-10)
+        assert kept == (abs(delta) < 1e-10)
         v = Subspace.from_columns(cols, field)
         expected = cols if kept else orthonormalize(cols)
         assert np.array_equal(v.basis, expected) and not v.was_reduced
+        gram_checks = int(way == "off_diagonal" or abs(delta) <= 2e-10)
+        assert len(deviation_calls) == gram_checks
 
     def test_built_bases_are_orthonormal_to_roundoff(self, field):
         # Bound: a backward-stable SVD returns U and V orthonormal to a small
