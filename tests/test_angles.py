@@ -49,19 +49,15 @@ class TestGoldenCorpus:
         # the spanning sets of the paper examples, without orthonormalizing
         c2 = _cos2_theta(*_gram_blocks(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W))
         assert c2 == pytest.approx(0.5, abs=1e-12)
+        # Theta from the larger side: gram_angles decides it, exactly pi/2
+        v, w = sub(corpus.DISTINCT_DIM_V), sub(corpus.DISTINCT_DIM_W)
+        assert gram_angles(w, v)[0] == math.pi / 2
         c2 = _cos2_theta(*_gram_blocks(corpus.FORMULA_BASES_V, corpus.FORMULA_BASES_W))
         assert c2 == pytest.approx(1 / 3, abs=1e-12)
         s2 = _sin2_upsilon(*_gram_blocks(corpus.DISTINCT_DIM_V, corpus.DISTINCT_DIM_W))
         assert s2 == pytest.approx(0.5, abs=1e-12)
         s2 = _sin2_upsilon(*_gram_blocks(corpus.BLADES_A, corpus.BLADES_B))
         assert s2 == pytest.approx(17 / 36, abs=1e-12)
-
-    def test_gram_theta_from_the_larger_side_is_a_right_angle(self):
-        # gram_angles decides the larger side's Theta by the dimensions,
-        # not by a determinant of a rank-deficient matrix
-        v, w = sub(corpus.DISTINCT_DIM_V), sub(corpus.DISTINCT_DIM_W)
-        assert gram_angles(w, v)[0] == math.pi / 2
-        assert gram_angles(v, w)[1] == math.pi / 2
 
     def test_psi_gram_route_on_raw_bases(self):
         # determinant-sum formula needs an orthonormal w-basis
