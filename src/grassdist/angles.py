@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .exterior import AMBIENT_CAP, _subsets, blade_from_basis, plucker_angles
-from .metrics import METRICS, asymmetric_distance
+from .metrics import (METRICS, _fubini_study_of, asymmetric_distance,
+                      extension_from_angles)
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_matrix, clamp_cosine,
                        product_and_complement)
 from .subspace import (Subspace, _check_pair, _count_right, _count_zero,
@@ -175,11 +176,12 @@ def projection_factor(v: Subspace, w: Subspace) -> float:
 # Disjointness angle Upsilon and supplementation angle Psi.
 # ---------------------------------------------------------------------------
 
-def _sine_product_angle(theta: np.ndarray) -> float:
-    """atan2(prod sin, sqrt(1 - prod sin^2)) over ``theta``, not pi/2 minus
-    an angle, so a tiny result keeps its relative accuracy.  Upsilon is this
-    over all the angles (pi/2, the empty product, when either side is {0})."""
-    return math.atan2(*product_and_complement(np.sin(theta), np.cos(theta)))
+def _sine_product_angle(sin: np.ndarray, cos: np.ndarray) -> float:
+    """atan2(prod sin, sqrt(1 - prod sin^2)) from the sines and cosines of
+    some angles, not pi/2 minus an angle, so a tiny result keeps its
+    relative accuracy.  Upsilon is this over all the angles (pi/2, the
+    empty product, when either side is {0})."""
+    return math.atan2(*product_and_complement(sin, cos))
 
 
 def disjointness_angle(v: Subspace, w: Subspace) -> float:
@@ -189,22 +191,22 @@ def disjointness_angle(v: Subspace, w: Subspace) -> float:
     V is orthogonal to W; symmetric in its arguments.  sin Upsilon is the
     product of the principal-angle sines.
     """
-    return _sine_product_angle(principal_angles(v, w))
+    theta = principal_angles(v, w)
+    return _sine_product_angle(np.sin(theta), np.cos(theta))
 
 
-def _psi_principal(v: Subspace, w: Subspace, theta: np.ndarray,
-                   tol: Tolerance) -> float:
-    """Psi(V, W) by the case analysis on r = dim(V & W), the count of
-    principal angles at most ``tol.angle_tol``: V + W is the whole space
+def _psi_principal(p: int, q: int, n: int, r: int, sin: np.ndarray,
+                   cos: np.ndarray) -> float:
+    """Psi(V, W) for dim V = p, dim W = q in ambient n by the case analysis
+    on r = dim(V & W), the count of principal angles at most ``angle_tol``,
+    from the sines and cosines of the angles: V + W is the whole space
     exactly when p + q - r = n ({0} never reaches it), and then sin Psi is
-    the product of the other sines.  ``angle_report`` flags a fragile r."""
-    n = v.ambient_dim
-    if v.dim == n or w.dim == n:
+    the product of the sines past r.  ``angle_report`` flags a fragile r."""
+    if p == n or q == n:
         return math.pi / 2
-    r = _count_zero(theta, tol)
-    if v.dim + w.dim - r < n:
+    if p + q - r < n:
         return 0.0
-    return _sine_product_angle(theta[r:])
+    return _sine_product_angle(sin[r:], cos[r:])
 
 
 def supplementation_angle(v: Subspace, w: Subspace,
@@ -215,7 +217,9 @@ def supplementation_angle(v: Subspace, w: Subspace,
     The case analysis on r = dim(V & W): the sines of the nonzero
     principal angles.
     """
-    return _psi_principal(v, w, principal_angles(v, w), tol)
+    theta = principal_angles(v, w)
+    return _psi_principal(v.dim, w.dim, v.ambient_dim, _count_zero(theta, tol),
+                          np.sin(theta), np.cos(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +274,23 @@ def orthogonal_partition_check(v1: Subspace, v2: Subspace, w: Subspace,
 # ---------------------------------------------------------------------------
 
 def _principal_values(v: Subspace, w: Subspace, theta: np.ndarray,
-                      r: int) -> tuple[float, float, float, float]:
+                      tol: Tolerance, r: int | None = None
+                      ) -> tuple[float, float, float, float]:
     """Theta(V, W), Theta(W, V), Upsilon and Psi from the principal angles
-    ``theta``, the first ``r`` of which read as 0, bit for bit as the
-    standalone functions derive them, from one ``np.cos`` and one
-    ``np.sin`` of the angles.  Theta is one cosine product, read from the
-    smaller side (pi/2 from the larger, the same float at equal
-    dimensions); Upsilon is the sine product; Psi follows
-    :func:`_psi_principal`'s cases and reads the same arrays past r, which
-    for r = 0 is Upsilon's product, so then it is the Upsilon float."""
-    p, q, n = v.dim, w.dim, v.ambient_dim
+    ``theta`` through the helpers the standalone functions call, so the
+    values equal theirs bit for bit, from one ``np.cos`` and one ``np.sin``
+    of the angles: one Fubini-Study cosine product serves Theta both ways,
+    and Upsilon and Psi read the same arrays.  ``r``, when the caller has
+    counted it, is ``_count_zero(theta, tol)``."""
+    p, q = v.dim, w.dim
     cos, sin = np.cos(theta), np.sin(theta)
-    theta_up = 0.0  # {0} on either side: Theta from it is 0
-    if p and q:
-        prod_cos, root = product_and_complement(cos, sin)
-        theta_up = math.atan2(root, prod_cos)
-    upsilon = math.atan2(*product_and_complement(sin, cos))
-    if p == n or q == n:
-        psi = math.pi / 2
-    elif p + q - r < n:
-        psi = 0.0
-    elif r == 0:
-        psi = upsilon
-    else:
-        psi = math.atan2(*product_and_complement(sin[r:], cos[r:]))
-    return (theta_up if p <= q else math.pi / 2,
-            theta_up if q <= p else math.pi / 2, upsilon, psi)
+    up = _fubini_study_of(cos, sin)
+    if r is None:
+        r = _count_zero(theta, tol)
+    return (extension_from_angles(_FUBINI_STUDY, theta, p, q, up),
+            extension_from_angles(_FUBINI_STUDY, theta, q, p, up),
+            _sine_product_angle(sin, cos),
+            _psi_principal(p, q, v.ambient_dim, r, sin, cos))
 
 
 @dataclass(frozen=True)
@@ -333,7 +328,7 @@ def angle_report(v: Subspace, w: Subspace,
     # the angles ascend: past the r that read as 0, all lie above the cutoff
     fragile = bool((theta[r:] < _CONDITION_BAND).any())
     if route is AngleRoute.PRINCIPAL:
-        values = _principal_values(v, w, theta, r)
+        values = _principal_values(v, w, theta, tol, r)
     else:
         values = ORACLES[route][0](v, w)
     return AngleReport(

@@ -50,12 +50,17 @@ class MetricDescriptor:
     units: str  # "radians" or "dimensionless"
 
 
+def _fubini_study_of(cos, sin) -> float:
+    """The Fubini-Study f_p from the cosines and sines of the angles, for a
+    caller that has taken them already; 0 for no angles."""
+    cos_theta, sin_theta = product_and_complement(cos, sin)
+    return math.atan2(sin_theta, cos_theta)
+
+
 def _d_geodesic(t): return float(np.sqrt(np.sum(t * t)))
 def _d_chordal_frobenius(t): return float(2 * np.sqrt(np.sum(np.sin(t / 2) ** 2)))
 def _d_projection_frobenius(t): return float(np.sqrt(np.sum(np.sin(t) ** 2)))
-def _d_fubini_study(t):
-    cos_theta, sin_theta = product_and_complement(np.cos(t), np.sin(t))
-    return math.atan2(sin_theta, cos_theta)
+def _d_fubini_study(t): return _fubini_study_of(np.cos(t), np.sin(t))
 def _d_chordal_wedge(t): return 2 * math.sin(_d_fubini_study(t) / 2)
 def _d_binet_cauchy(t): return math.sin(_d_fubini_study(t))
 def _d_asimov(t): return float(t[-1])
@@ -98,19 +103,21 @@ def equal_dim_distance(name: str, v: Subspace, w: Subspace) -> float:
 
 
 def extension_from_angles(desc: MetricDescriptor, theta: np.ndarray,
-                          dim_from: int, dim_to: int) -> float:
+                          dim_from: int, dim_to: int,
+                          value: float | None = None) -> float:
     """Asymmetric extension evaluated from precomputed principal angles:
     0 when dim_from = 0, the diameter when dim_from > dim_to, f_p(theta)
     otherwise.
 
     ``theta`` must hold the min(dim_from, dim_to) principal angles of the
-    pair; it is ignored in the zero-source and diameter cases.
+    pair; it is ignored in the zero-source and diameter cases.  ``value``,
+    when the caller has it, is f_p(theta), so it is not evaluated again.
     """
     if dim_from == 0:
         return 0.0
     if dim_from > dim_to:
         return desc.diam(dim_from)
-    return desc.f_p(np.asarray(theta))
+    return desc.f_p(np.asarray(theta)) if value is None else value
 
 
 def asymmetric_distance(desc: MetricDescriptor | str, v: Subspace,

@@ -32,8 +32,7 @@ from .errors import NumericalDegeneracyError
 from .exterior import AMBIENT_CAP, _angles_from_sums
 from .metrics import METRICS, extension_from_angles
 from .numerics import DEFAULT_TOL, Field, Tolerance
-from .subspace import (Subspace, _count_zero, complete_basis, principal_angles,
-                       random_subspace)
+from .subspace import Subspace, complete_basis, principal_angles, random_subspace
 
 # Cap on sampled ordered triples for the triangle check on user files.
 _TRIANGLE_CAP = 600
@@ -112,7 +111,7 @@ def _check_golden(golden, tables: dict, tol: Tolerance) -> CheckResult:
         table = tables[g.v.ambient_dim, g.v.field]
         ids = [name for name, _ in table]
         theta = table.angles(ids.index(f"{g.name}:V"), ids.index(f"{g.name}:W"))
-        values = _principal_values(g.v, g.w, theta, _count_zero(theta, tol))
+        values = _principal_values(g.v, g.w, theta, tol)
         for key, got in zip(("theta_vw", "theta_wv", "upsilon", "psi"), values):
             want = getattr(g, key)
             if want is None:
@@ -166,9 +165,7 @@ def _check_routes(pairs, tol: Tolerance) -> CheckResult:
                        for r, (_, cap) in ORACLES.items() if n > cap)
     worst, culprit = 0.0, "none"
     for (i, (vid, v)), (j, (wid, w)) in itertools.permutations(enumerate(pairs), 2):
-        theta = pairs.angles(i, j)
-        theta_vw, _, upsilon, psi = _principal_values(v, w, theta,
-                                                      _count_zero(theta, tol))
+        theta_vw, _, upsilon, psi = _principal_values(v, w, pairs.angles(i, j), tol)
         per_route = [(theta_vw, upsilon, psi)]
         per_route += [_angles_from_sums(pairs.plucker(i, j))
                       if r is AngleRoute.EXTERIOR else pairs.gram(i, j)

@@ -609,5 +609,5 @@ class TestAngleReport:
                 assert rep.psi == supplementation_angle(v, w)
                 r = sum(t <= DEFAULT_TOL.angle_tol for t in rep.principal_angles)
                 if max(v.dim, w.dim) < n and v.dim + w.dim - r == n:
-                    cases.add("sliced sines" if r else "the Upsilon float")
-        assert cases == {"sliced sines", "the Upsilon float"}
+                    cases.add("sliced sines" if r else "every sine")
+        assert cases == {"sliced sines", "every sine"}
